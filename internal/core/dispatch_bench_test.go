@@ -103,7 +103,9 @@ func TestSearchDispatchZeroAllocOverhead(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if searchAllocs > legacyAllocs {
+		// Exact without the race detector; under it a dropped workspace Put
+		// lands in whichever measurement happens to be running.
+		if searchAllocs > legacyAllocs && !raceEnabled {
 			t.Errorf("%s: Search allocates %.1f/op vs %.1f/op for the legacy wrapper — dispatch added allocations",
 				tc.name, searchAllocs, legacyAllocs)
 		}

@@ -118,15 +118,20 @@ func (st *peelState) dropLive(v int) {
 // containing q) and returns the intermediate graph with the smallest graph
 // query distance, restricted to the component containing q. g0 is not
 // modified; all scratch comes from ws, so the steady state allocates only
-// the returned subgraph. The workspace cancel hook is polled once per peel
-// round (each round is a handful of BFS passes over the live subgraph), so
-// cancellation returns promptly without per-edge checks; rounds and removed
-// edges are tallied into st.
-func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, ws *trussindex.Workspace, qs *QueryStats) (*graph.Mutable, error) {
+// the returned subgraph. sup, when non-nil, must hold the support inside g0
+// of every edge of g0 (indexed by g0's base edge IDs; other entries are never
+// read) and is consumed by the peel; nil means count the triangles here. The
+// workspace cancel hook is polled once per peel round (each round is a
+// handful of BFS passes over the live subgraph), so cancellation returns
+// promptly without per-edge checks; rounds and removed edges are tallied
+// into st.
+func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, sup []int32, ws *trussindex.Workspace, qs *QueryStats) (*graph.Mutable, error) {
 	work := ws.CloneFor(g0)
 	base := work.Base()
-	_, _, supBuf := ws.EdgeScratch()
-	sup := graph.MutableEdgeSupportsInto(work, supBuf)
+	if sup == nil {
+		_, _, supBuf := ws.EdgeScratch()
+		sup = graph.MutableEdgeSupportsInto(work, supBuf)
+	}
 
 	// Query membership marks (StampB) back the peel rules' tie preferences.
 	qEpoch := ws.StampB.Next()

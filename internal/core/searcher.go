@@ -170,7 +170,7 @@ func (s *Searcher) searchGlobal(req Request, ws *trussindex.Workspace, res *Resu
 			rule = peelBulk
 		}
 		tp := time.Now()
-		sub, err = greedyPeel(g0, k, req.Q, rule, ws, st)
+		sub, err = greedyPeel(g0, k, req.Q, rule, nil, ws, st)
 		st.Peel = time.Since(tp)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", req.Algo, err)
@@ -204,14 +204,21 @@ func (s *Searcher) searchLCTC(req Request, ws *trussindex.Workspace, res *Result
 		st.Expand = time.Since(te)
 		return fmt.Errorf("core: LCTC expansion: %w", err)
 	}
-	// Truss-decompose the expansion (cancellable: with a client-supplied η
+	// Truss-decompose the expansion up to kt — bestKTrussWithin never looks
+	// above it — and find the largest k <= kt such that a connected k-truss
+	// containing Q survives inside Gt. Cancellable: with a client-supplied η
 	// the expansion can span the whole graph, so the peel polls the same
-	// workspace hook as every other phase) and find the largest k <= kt
-	// such that a connected k-truss containing Q survives inside Gt.
-	dec, err := truss.DecomposeMutableCancelable(gt, ws.Canceled)
+	// workspace hook as every other phase.
+	dec, sup, err := truss.DecomposeMutableCapped(gt, kt, ws.Canceled)
 	if err != nil {
 		st.Expand = time.Since(te)
 		return fmt.Errorf("core: LCTC expansion: %w", err)
+	}
+	// The decomposition normally runs on a frozen copy of Gt; gtEdges maps
+	// that copy's edge IDs back to the index's, while Gt's shell is intact.
+	var gtEdges []int32
+	if dec.G != s.ix.Graph() {
+		gtEdges = gt.LiveEdgeIDs()
 	}
 	ht, k, err := bestKTrussWithin(dec, req.Q, kt, ws)
 	st.Expand = time.Since(te)
@@ -220,11 +227,25 @@ func (s *Searcher) searchLCTC(req Request, ws *trussindex.Workspace, res *Result
 	}
 	st.SeedEdges = ht.M()
 	tp := time.Now()
-	best, err := greedyPeel(ht, k, req.Q, peelBulkExact, ws, st)
-	st.Peel = time.Since(tp)
+	if k != kt {
+		// The residual supports describe the kt-truss of Gt only.
+		sup = nil
+	}
+	best, err := greedyPeel(ht, k, req.Q, peelBulkExact, sup, ws, st)
 	if err != nil {
 		return fmt.Errorf("core: LCTC: %w", err)
 	}
+	if gtEdges != nil {
+		// Hand the community back on the index's graph, so that a retained
+		// Result does not keep this query's copy of Gt alive.
+		onIndex := graph.NewMutableShell(s.ix.Graph())
+		best.ForEachLiveEdge(func(e int32, _, _ int) { onIndex.AddEdgeByID(gtEdges[e]) })
+		for _, v := range req.Q {
+			onIndex.EnsureVertex(v)
+		}
+		best = onIndex
+	}
+	st.Peel = time.Since(tp)
 	initCommunity(&res.Community, AlgoLCTC.String(), best, k, req.Q)
 	return nil
 }

@@ -309,6 +309,9 @@ func TestAllAlgorithmsProduceValidCommunities(t *testing.T) {
 		if lctc.K > basic.K {
 			t.Fatalf("seed %d: LCTC k=%d exceeds the global maximum %d", seed, lctc.K, basic.K)
 		}
+		if lctc.Subgraph().Base() != ix.Graph() {
+			t.Fatalf("seed %d: LCTC community is not an overlay of the index's graph", seed)
+		}
 		// Basic peels at least as much as the Truss baseline keeps.
 		trussOnly, _ := s.TrussOnly(q, nil)
 		if basic.N() > trussOnly.N() {
@@ -332,6 +335,11 @@ func TestLCTCEtaBudget(t *testing.T) {
 	}
 	if small.N() > big.N() {
 		t.Fatalf("smaller η produced a larger community (%d > %d)", small.N(), big.N())
+	}
+	// Whether the expansion was the whole graph or a frozen fragment of it,
+	// the answer must not keep a per-query graph alive.
+	if big.Subgraph().Base() != g || small.Subgraph().Base() != g {
+		t.Fatal("LCTC community is not an overlay of the index's graph")
 	}
 }
 

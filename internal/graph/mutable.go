@@ -560,6 +560,16 @@ func (mu *Mutable) CountCommonNeighbors(u, v int) int {
 	return c
 }
 
+// LiveEdgeIDs returns the IDs of the live base edges in ascending order.
+// Freeze numbers the edges of an overlay-pure Mutable in exactly this order
+// (edge IDs ascend with the (min, max) endpoint key in both graphs), so
+// entry i is the base edge that edge i of the frozen graph stands for.
+func (mu *Mutable) LiveEdgeIDs() []int32 {
+	ids := make([]int32, 0, mu.aliveM)
+	mu.alive.ForEach(func(e int32) { ids = append(ids, e) })
+	return ids
+}
+
 // Freeze converts the current state into an immutable Graph over the same
 // vertex ID space.
 func (mu *Mutable) Freeze() *Graph {

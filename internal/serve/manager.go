@@ -490,6 +490,8 @@ func (m *Manager) query(ctx context.Context, req core.Request) (*core.Result, er
 	snap := m.Acquire()
 	defer snap.Release()
 	m.execQ.Add(1)
+	cpu := pinCPU() // a CPU of its own for the search: cpuslot_linux.go
+	defer cpu.unpin()
 	e0 := time.Now()
 	res, err := snap.Query(ctx, req)
 	m.est.Observe(units, time.Since(e0))
@@ -619,6 +621,8 @@ func (m *Manager) queryBatch(ctx context.Context, reqs []core.Request) ([]core.B
 	for j, i := range missIdx {
 		miss[j] = reqs[i]
 	}
+	cpu := pinCPU()
+	defer cpu.unpin()
 	e0 := time.Now()
 	sub, err := snap.searcher.SearchBatch(ctx, miss)
 	m.est.Observe(units, time.Since(e0))

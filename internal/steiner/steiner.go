@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/trussindex"
@@ -67,40 +66,29 @@ func BuildW(ix *trussindex.Index, q []int, gamma float64, ws *trussindex.Workspa
 		}, nil
 	}
 	metric := NewMetric(ix, gamma)
-	// Pairwise truss distances and realizing thresholds from each terminal.
-	// The r output arrays are alive simultaneously, so they cannot come from
-	// the (fixed-size) workspace; everything inside distancesInto does.
-	r := len(uniq)
-	dist := make([][]float64, r)
-	thr := make([][]int32, r)
-	for i, v := range uniq {
-		d := make([]float64, g.N())
-		t := make([]int32, g.N())
-		if err := metric.distancesInto(v, d, t, ws); err != nil {
-			return nil, err
-		}
-		dist[i] = d
-		thr[i] = t
+	dist, thr, err := metric.pairDistances(uniq, ws)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < r; i++ {
-		for j := i + 1; j < r; j++ {
-			if math.IsInf(dist[i][uniq[j]], 1) {
-				return nil, ErrDisconnected
-			}
+	return metric.treeFromPairs(uniq, dist, thr, ws)
+}
+
+// treeFromPairs runs steps 2-4 of Build on the r×r (row-major, symmetric)
+// terminal-pair truss distances dist and their realizing thresholds thr.
+func (m *Metric) treeFromPairs(uniq []int, dist []float64, thr []int32, ws *trussindex.Workspace) (*Tree, error) {
+	r := len(uniq)
+	for _, d := range dist {
+		if math.IsInf(d, 1) {
+			return nil, ErrDisconnected
 		}
 	}
 	// Prim's MST over the complete terminal graph.
 	inTree := make([]bool, r)
 	best := make([]float64, r)
 	bestFrom := make([]int, r)
-	for i := range best {
-		best[i] = Inf
-		bestFrom[i] = -1
-	}
 	inTree[0] = true
 	for j := 1; j < r; j++ {
-		best[j] = dist[0][uniq[j]]
-		bestFrom[j] = 0
+		best[j] = dist[j]
 	}
 	type mstEdge struct{ from, to int }
 	mst := make([]mstEdge, 0, r-1)
@@ -119,8 +107,8 @@ func BuildW(ix *trussindex.Index, q []int, gamma float64, ws *trussindex.Workspa
 		mst = append(mst, mstEdge{bestFrom[pick], pick})
 		totalWeight += pickD
 		for j := 0; j < r; j++ {
-			if !inTree[j] && dist[pick][uniq[j]] < best[j] {
-				best[j] = dist[pick][uniq[j]]
+			if !inTree[j] && dist[pick*r+j] < best[j] {
+				best[j] = dist[pick*r+j]
 				bestFrom[j] = pick
 			}
 		}
@@ -133,12 +121,11 @@ func BuildW(ix *trussindex.Index, q []int, gamma float64, ws *trussindex.Workspa
 			return nil, err
 		}
 		src, dst := uniq[e.from], uniq[e.to]
-		t := thr[e.from][dst]
-		path := metric.pathAtThreshold(src, dst, t, ws)
+		path := m.pathAtThreshold(src, dst, thr[e.from*r+e.to], ws)
 		if path == nil {
 			// The threshold subgraph should contain the path by
 			// construction; fall back to any connecting threshold.
-			path = metric.pathAtThreshold(src, dst, 2, ws)
+			path = m.pathAtThreshold(src, dst, 2, ws)
 		}
 		if path == nil {
 			return nil, ErrDisconnected
@@ -150,7 +137,7 @@ func BuildW(ix *trussindex.Index, q []int, gamma float64, ws *trussindex.Workspa
 	for _, v := range uniq {
 		union.EnsureVertex(v)
 	}
-	return treeFromUnion(ix, union, uniq, totalWeight, ws)
+	return treeFromUnion(m.ix, union, uniq, totalWeight, ws)
 }
 
 // treeFromUnion extracts a BFS spanning tree of the union subgraph and
@@ -218,7 +205,7 @@ func treeFromUnion(ix *trussindex.Index, union *graph.Mutable, terminals []int, 
 			minTruss = t
 		}
 	})
-	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
+	slices.Sort(edges)
 	if len(edges) == 0 {
 		minTruss = ix.VertexTruss(terminals[0])
 	}
@@ -228,7 +215,7 @@ func treeFromUnion(ix *trussindex.Index, union *graph.Mutable, terminals []int, 
 			verts = append(verts, int(vq))
 		}
 	}
-	sort.Ints(verts)
+	slices.Sort(verts)
 	// Touched-vertex lists can repeat a vertex that was deleted and
 	// re-added, so dedupe after sorting.
 	verts = slices.Compact(verts)
@@ -241,15 +228,9 @@ func treeFromUnion(ix *trussindex.Index, union *graph.Mutable, terminals []int, 
 	}, nil
 }
 
+// dedupe returns the distinct vertices of q in ascending order.
 func dedupe(q []int) []int {
-	seen := make(map[int]bool, len(q))
-	out := make([]int, 0, len(q))
-	for _, v := range q {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
+	out := slices.Clone(q)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -6,6 +6,7 @@ package steiner
 import (
 	"math"
 
+	"repro/internal/graph"
 	"repro/internal/trussindex"
 )
 
@@ -40,7 +41,9 @@ func (m *Metric) Gamma() float64 { return m.gamma }
 
 // DistancesFrom returns for every vertex v the truss distance from src, plus
 // for each v the threshold t achieving it (0 when unreachable). Unreachable
-// vertices get Inf.
+// vertices get Inf. It is exhaustive — one whole-component BFS per
+// threshold — and is what the tests hold pairDistances against; query paths
+// use pairDistances.
 func (m *Metric) DistancesFrom(src int) (dist []float64, bestT []int32) {
 	ws := m.ix.AcquireWorkspace()
 	defer ws.Release()
@@ -107,6 +110,100 @@ func (m *Metric) distancesInto(src int, dist []float64, bestT []int32, ws *truss
 	return nil
 }
 
+// pairDistances returns the truss distance between every two of the distinct
+// terminals terms, and the threshold realizing it, as symmetric r×r row-major
+// matrices (diagonal 0; Inf and 0 for a disconnected pair) — the entries
+// DistancesFrom(terms[i]) holds at terms[j], at a cost bounded by how close
+// the terminals are instead of by the graph.
+//
+// From each terminal the thresholds are scanned in the same descending order
+// with the same strict-< improvement, so ties between thresholds resolve
+// identically. The penalty only grows along the scan, which gives two stops:
+// a BFS ends once the next level (hop+1+penalty) cannot beat the worst
+// distance among the terminals it has not reached yet, and the scan ends at
+// the first threshold whose one-hop cost (1+penalty) cannot either. The
+// workspace cancel hook is polled once per threshold BFS.
+func (m *Metric) pairDistances(terms []int, ws *trussindex.Workspace) (dist []float64, thr []int32, err error) {
+	r := len(terms)
+	dist = make([]float64, r*r)
+	thr = make([]int32, r*r)
+	for i := range dist {
+		dist[i] = Inf
+	}
+	// ValB under StampB maps a terminal vertex to its index.
+	isTerm, termIdx := ws.StampB, ws.ValB
+	isTerm.Next()
+	for j, v := range terms {
+		dist[j*r+j] = 0
+		isTerm.Set(int32(v))
+		termIdx[v] = int32(j)
+	}
+	hop, st := ws.ValA, ws.StampA
+	queue := ws.QueueA
+	maxT := float64(m.ix.MaxTruss())
+	// Pairs are symmetric: terminal i only looks for the terminals after it.
+	for i := 0; i+1 < r; i++ {
+		src := int32(terms[i])
+		row := dist[i*r : (i+1)*r]
+		for _, t := range m.thresholds {
+			if err := ws.Canceled(); err != nil {
+				ws.QueueA = queue
+				return nil, nil, err
+			}
+			penalty := m.gamma * (maxT - float64(t))
+			st.Next()
+			st.Set(src)
+			hop[src] = 0
+			queue = append(queue[:0], src)
+			// bound is the worst distance among the terminals after i that
+			// this BFS has not reached: only a level cheaper than it can
+			// still improve a pair.
+			bound := unreachedWorst(row, terms, i, st)
+			if 1+penalty >= bound {
+				break
+			}
+			for head := 0; head < len(queue); head++ {
+				v := queue[head]
+				hu := hop[v] + 1
+				d := float64(hu) + penalty
+				if d >= bound {
+					break
+				}
+				nbrs, _ := m.ix.NeighborsAtLeast(int(v), t)
+				for _, u := range nbrs {
+					if !st.Visit(u) {
+						continue
+					}
+					hop[u] = hu
+					queue = append(queue, u)
+					if !isTerm.Marked(u) || int(termIdx[u]) <= i {
+						continue
+					}
+					if j := int(termIdx[u]); d < row[j] {
+						row[j], dist[j*r+i] = d, d
+						thr[i*r+j], thr[j*r+i] = t, t
+					}
+					bound = unreachedWorst(row, terms, i, st)
+				}
+			}
+		}
+	}
+	ws.QueueA = queue
+	return dist, thr, nil
+}
+
+// unreachedWorst returns the largest entry of row among the terminals after
+// i that st has not marked, or 0 when all of them are marked.
+func unreachedWorst(row []float64, terms []int, i int, st *graph.Stamp) float64 {
+	worst := 0.0
+	for j := i + 1; j < len(terms); j++ {
+		if row[j] > worst && !st.Marked(int32(terms[j])) {
+			worst = row[j]
+		}
+	}
+	return worst
+}
+
 // PathAtThreshold returns a shortest path (as a vertex sequence src..dst) in
 // the subgraph of edges with trussness >= t, or nil if dst is unreachable.
 func (m *Metric) PathAtThreshold(src, dst int, t int32) []int {
@@ -146,14 +243,15 @@ func (m *Metric) pathAtThreshold(src, dst int, t int32, ws *trussindex.Workspace
 	if !st.Marked(int32(dst)) {
 		return nil
 	}
-	var rev []int
-	for v := dst; v != -1; v = int(parent[v]) {
-		rev = append(rev, v)
+	hops := 0
+	for v := dst; v != src; v = int(parent[v]) {
+		hops++
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	path := make([]int, hops+1)
+	for v, i := dst, hops; i >= 0; v, i = int(parent[v]), i-1 {
+		path[i] = v
 	}
-	return rev
+	return path
 }
 
 // TrussDistance returns the exact truss distance between u and v (Inf if

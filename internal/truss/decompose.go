@@ -41,7 +41,7 @@ type Decomposition struct {
 // peel itself is the array-based bucket queue, O(m) space and
 // O(Σ min(deg u, deg v)) triangle work.
 func Decompose(g *graph.Graph) *Decomposition {
-	d, _ := decompose(g, nil)
+	d, _, _ := decompose(g, 0, nil)
 	return d
 }
 
@@ -51,10 +51,21 @@ func Decompose(g *graph.Graph) *Decomposition {
 // Query paths pass the pooled workspace's Canceled method so a decomposition
 // running inside a cancelled query stops promptly.
 func DecomposeCancelable(g *graph.Graph, poll func() error) (*Decomposition, error) {
-	return decompose(g, poll)
+	d, _, err := decompose(g, 0, poll)
+	return d, err
 }
 
-func decompose(g *graph.Graph, poll func() error) (*Decomposition, error) {
+// decompose is the one serial peel. capK <= 0 decomposes fully. capK > 0
+// stops the peel as soon as the cheapest remaining edge has support >=
+// capK-2: every edge peeled so far has its exact trussness (< capK), every
+// remaining edge has trussness >= capK and is labelled capK, so the result
+// is min(τ, capK) everywhere. The support array is returned as the peel left
+// it. At a capped stop it holds, for every remaining edge, its exact support
+// inside the subgraph of remaining edges (the maximal capK-truss): the peel
+// skips a decrement only for an edge already sitting at the current minimum
+// support, and such an edge is peeled before the minimum can reach capK-2.
+// Entries of peeled edges are stale.
+func decompose(g *graph.Graph, capK int32, poll func() error) (*Decomposition, []int32, error) {
 	m := g.M()
 	d := &Decomposition{
 		G:           g,
@@ -62,7 +73,7 @@ func decompose(g *graph.Graph, poll func() error) (*Decomposition, error) {
 		VertexTruss: make([]int32, g.N()),
 	}
 	if m == 0 {
-		return d, nil
+		return d, nil, nil
 	}
 	sup := graph.EdgeSupportsParallel(g)
 	maxSup := int32(0)
@@ -98,11 +109,17 @@ func decompose(g *graph.Graph, poll func() error) (*Decomposition, error) {
 	for i := 0; i < m; i++ {
 		if poll != nil && i&4095 == 0 {
 			if err := poll(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		e := order[i]
 		se := sup[e]
+		if capK > 0 && se+2 >= capK {
+			for _, f := range order[i:] {
+				d.Truss[f] = capK
+			}
+			break
+		}
 		if se+2 > level {
 			level = se + 2
 		}
@@ -122,7 +139,7 @@ func decompose(g *graph.Graph, poll func() error) (*Decomposition, error) {
 		})
 	}
 	d.finishVertexTruss()
-	return d, nil
+	return d, sup, nil
 }
 
 // decreaseKey moves edge f one support bucket down: swap it with the first
@@ -159,32 +176,38 @@ func (d *Decomposition) finishVertexTruss() {
 // common case for freshly wrapped graphs), the base is decomposed directly;
 // otherwise the live subgraph is frozen first.
 //
-// This runs the serial peel on purpose: DecomposeMutable sits on the LCTC
+// This runs the serial peel on purpose: the capped variant sits on the LCTC
 // per-query path (the eta-bounded expansion is decomposed on every query),
 // where concurrent queries each spawning a GOMAXPROCS-wide parallel peel
 // would oversubscribe the scheduler. Cold builds go through
 // DecomposeParallel via trussindex.Build / NewIncremental / NewDynamic.
 func DecomposeMutable(mu *graph.Mutable) *Decomposition {
-	d, _ := DecomposeMutableCancelable(mu, nil)
+	d, _, _ := DecomposeMutableCapped(mu, 0, nil)
 	return d
 }
 
-// DecomposeMutableCancelable is DecomposeMutable with DecomposeCancelable's
-// poll hook (nil = never cancelled).
-func DecomposeMutableCancelable(mu *graph.Mutable, poll func() error) (*Decomposition, error) {
+// DecomposeMutableCapped is DecomposeMutable for a caller that never looks
+// above trussness capK (LCTC passes k_t): labels come back as min(τ, capK),
+// with capK <= 0 meaning no cap. It also returns the peel's residual support
+// array, indexed by the edge IDs of the returned Decomposition's G: for
+// every edge labelled capK, its support inside the subgraph of edges
+// labelled capK — what a k-truss maintenance cascade at k = capK needs to
+// start from. Entries of other edges are stale. poll is DecomposeCancelable's
+// hook (nil = never cancelled).
+func DecomposeMutableCapped(mu *graph.Mutable, capK int32, poll func() error) (*Decomposition, []int32, error) {
 	if mu.OverlayPure() && mu.M() == mu.Base().M() {
-		d, err := decompose(mu.Base(), poll)
+		d, sup, err := decompose(mu.Base(), capK, poll)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(d.VertexTruss) < mu.NumIDs() {
 			vt := make([]int32, mu.NumIDs())
 			copy(vt, d.VertexTruss)
 			d.VertexTruss = vt
 		}
-		return d, nil
+		return d, sup, nil
 	}
-	return decompose(mu.Freeze(), poll)
+	return decompose(mu.Freeze(), capK, poll)
 }
 
 // EdgeTrussOf returns τ(u,v), or 0 if the edge does not exist.

@@ -12,9 +12,7 @@ import (
 
 // This file is the consolidated differential harness for every truss
 // decomposition path in the repository. One corpus of seeded generator
-// graphs — Erdős–Rényi at several densities, preferential-attachment
-// power-law, planted-community networks, and pathological hand-built shapes
-// (stars, clique chains, jumps in the support spectrum) — is decomposed by:
+// graphs (gen.DifferentialCorpus) is decomposed by:
 //
 //   - Decompose           (serial array bucket-queue peel, the reference)
 //   - DecomposeParallel   (public entry; may take the serial fallback)
@@ -25,103 +23,10 @@ import (
 //   - Incremental          (a full insert-replay: every edge inserted one at
 //     a time into an initially empty overlay, forward and reverse order)
 //
-// and every path must produce byte-identical labels. New decomposition
+// and every path must produce byte-identical labels. The capped peel
+// (DecomposeMutableCapped, the LCTC per-query path) is held to min(label,
+// cap) and to recounted supports at every cap. New decomposition
 // implementations must be wired in here.
-
-type diffCase struct {
-	name string
-	g    *graph.Graph
-}
-
-// starGraph is a hub with `leaves` pendant edges: zero triangles, every
-// label exactly 2, one giant frontier in the first parallel round.
-func starGraph(leaves int) *graph.Graph {
-	b := graph.NewBuilder(leaves+1, leaves)
-	for i := 1; i <= leaves; i++ {
-		b.AddEdge(0, i)
-	}
-	return b.Build()
-}
-
-// cliqueChain builds `count` copies of K_size where consecutive cliques
-// share an edge: the shared edges sit in 2(size-2) triangles while their
-// trussness stays size, and the support spectrum has a gap the level loop
-// must jump over.
-func cliqueChain(count, size int) *graph.Graph {
-	b := graph.NewBuilder(count*(size-2)+2, count*size*(size-1)/2)
-	for c := 0; c < count; c++ {
-		base := c * (size - 2)
-		for i := 0; i < size; i++ {
-			for j := i + 1; j < size; j++ {
-				b.AddEdge(base+i, base+j)
-			}
-		}
-	}
-	return b.Build()
-}
-
-// starOfCliques glues `arms` copies of K_size to one central hub vertex:
-// high-trussness blobs hanging off trussness-2 spokes.
-func starOfCliques(arms, size int) *graph.Graph {
-	b := graph.NewBuilder(1+arms*size, arms*(size*(size-1)/2+1))
-	for a := 0; a < arms; a++ {
-		base := 1 + a*size
-		for i := 0; i < size; i++ {
-			for j := i + 1; j < size; j++ {
-				b.AddEdge(base+i, base+j)
-			}
-		}
-		b.AddEdge(0, base)
-	}
-	return b.Build()
-}
-
-// differentialCorpus is the shared table of generator seeds. Kept a function
-// (not a package var) so each test gets fresh graphs and the corpus cost is
-// only paid by the tests that use it.
-func differentialCorpus() []diffCase {
-	var cases []diffCase
-	// Erdős–Rényi across the density range where trussness structure
-	// appears, several seeds each.
-	for seed := uint64(0); seed < 5; seed++ {
-		for _, p := range []float64{0.05, 0.15, 0.3, 0.5} {
-			cases = append(cases, diffCase{
-				name: fmt.Sprintf("er/p%.2f/seed%d", p, seed),
-				g:    gen.ErdosRenyi(40, p, 0xE120+seed),
-			})
-		}
-	}
-	// Power-law (preferential attachment): hubs give skewed frontier work.
-	for seed := uint64(0); seed < 5; seed++ {
-		cases = append(cases, diffCase{
-			name: fmt.Sprintf("ba/seed%d", seed),
-			g:    gen.BarabasiAlbert(150, 4, 0xBA00+seed),
-		})
-	}
-	// Planted communities: the triangle-rich shape of the paper's datasets.
-	for seed := uint64(0); seed < 5; seed++ {
-		g, _ := gen.CommunityGraph(gen.CommunityParams{
-			N: 250, NumCommunities: 10, MinSize: 5, MaxSize: 24,
-			Overlap: 0.35, PIntra: 0.5, BackgroundEdges: 120,
-			Hubs: 2, HubDegree: 40, PlantedClique: 9, Seed: 0xD1FF00 + seed,
-		})
-		cases = append(cases, diffCase{name: fmt.Sprintf("community/seed%d", seed), g: g})
-	}
-	// Pathological shapes.
-	cases = append(cases,
-		diffCase{"empty", graph.NewBuilder(0, 0).Build()},
-		diffCase{"single-edge", graph.FromEdges(2, [][2]int{{0, 1}})},
-		diffCase{"triangle", graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}, {0, 2}})},
-		diffCase{"path", graph.FromEdges(8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}})},
-		diffCase{"star200", starGraph(200)},
-		diffCase{"clique-k9", cliqueChain(1, 9)},
-		diffCase{"clique-chain-6xk6", cliqueChain(6, 6)},
-		diffCase{"clique-chain-3xk8", cliqueChain(3, 8)},
-		diffCase{"star-of-cliques", starOfCliques(5, 6)},
-		diffCase{"paper-fig1a", paperGraph()},
-	)
-	return cases
-}
 
 // assertSameLabels requires byte-identical decompositions: same edge-ID
 // space, same Truss array, same vertex trussness, same max.
@@ -164,47 +69,90 @@ func insertReplay(t *testing.T, g *graph.Graph, order []int32) *Decomposition {
 var errPollFired = errors.New("poll fired")
 
 func TestDifferentialAllDecompositionPaths(t *testing.T) {
-	cases := differentialCorpus()
+	cases := gen.DifferentialCorpus()
 	if len(cases) < 35 {
 		t.Fatalf("differential corpus shrank to %d cases", len(cases))
 	}
 	for _, tc := range cases {
-		want := Decompose(tc.g)
-		assertSameLabels(t, tc.name+"/parallel-public", DecomposeParallel(tc.g), want)
+		want := Decompose(tc.G)
+		assertSameLabels(t, tc.Name+"/parallel-public", DecomposeParallel(tc.G), want)
 		for _, workers := range []int{1, 2, 4, 8} {
-			got := decomposeParallel(tc.g, workers)
-			assertSameLabels(t, fmt.Sprintf("%s/parallel-w%d", tc.name, workers), got, want)
+			got := decomposeParallel(tc.G, workers)
+			assertSameLabels(t, fmt.Sprintf("%s/parallel-w%d", tc.Name, workers), got, want)
 		}
-		assertSameLabels(t, tc.name+"/naive", DecomposeNaive(tc.g), want)
+		assertSameLabels(t, tc.Name+"/naive", DecomposeNaive(tc.G), want)
 
 		// The cancellable peel (the LCTC per-query path) with a live but
 		// never-firing poll must be label-identical, and a poll that fires
 		// must abandon with the poll's error and no decomposition.
 		polled := 0
-		cancelable, err := DecomposeCancelable(tc.g, func() error { polled++; return nil })
+		cancelable, err := DecomposeCancelable(tc.G, func() error { polled++; return nil })
 		if err != nil {
-			t.Fatalf("%s/cancelable: %v", tc.name, err)
+			t.Fatalf("%s/cancelable: %v", tc.Name, err)
 		}
-		assertSameLabels(t, tc.name+"/cancelable", cancelable, want)
-		if tc.g.M() > 0 && polled == 0 {
-			t.Fatalf("%s/cancelable: poll hook never invoked", tc.name)
+		assertSameLabels(t, tc.Name+"/cancelable", cancelable, want)
+		if tc.G.M() > 0 && polled == 0 {
+			t.Fatalf("%s/cancelable: poll hook never invoked", tc.Name)
 		}
-		if tc.g.M() > 0 {
-			if d, err := DecomposeCancelable(tc.g, func() error { return errPollFired }); err != errPollFired || d != nil {
-				t.Fatalf("%s/cancelable: firing poll returned (%v, %v)", tc.name, d, err)
+		if tc.G.M() > 0 {
+			if d, err := DecomposeCancelable(tc.G, func() error { return errPollFired }); err != errPollFired || d != nil {
+				t.Fatalf("%s/cancelable: firing poll returned (%v, %v)", tc.Name, d, err)
 			}
 		}
 
-		m := int32(tc.g.M())
+		m := int32(tc.G.M())
 		forward := make([]int32, m)
 		for e := range forward {
 			forward[e] = int32(e)
 		}
-		assertSameLabels(t, tc.name+"/replay-fwd", insertReplay(t, tc.g, forward), want)
+		assertSameLabels(t, tc.Name+"/replay-fwd", insertReplay(t, tc.G, forward), want)
 		reverse := make([]int32, m)
 		for e := range reverse {
 			reverse[e] = m - 1 - int32(e)
 		}
-		assertSameLabels(t, tc.name+"/replay-rev", insertReplay(t, tc.g, reverse), want)
+		assertSameLabels(t, tc.Name+"/replay-rev", insertReplay(t, tc.G, reverse), want)
+
+		// The capped peel at every level of the graph, at and below the
+		// floor, and above the top — on the whole graph (decomposed in
+		// place) and on a strict subgraph (decomposed on a frozen copy).
+		whole := graph.NewMutable(tc.G, nil)
+		thinned := whole.Clone()
+		for e := int32(0); e < m; e += 7 {
+			thinned.DeleteEdgeByID(e)
+		}
+		for _, capK := range append([]int32{1, 2, want.MaxTruss + 1}, want.Thresholds()...) {
+			assertCapped(t, fmt.Sprintf("%s/cap%d/whole", tc.Name, capK), whole, capK)
+			assertCapped(t, fmt.Sprintf("%s/cap%d/thinned", tc.Name, capK), thinned, capK)
+		}
 	}
+}
+
+// assertCapped holds DecomposeMutableCapped(mu, capK) against the full
+// decomposition of mu: every label is min(τ, capK), and the residual support
+// of every edge with τ >= capK is its triangle count inside the subgraph of
+// such edges, recounted from scratch.
+func assertCapped(t *testing.T, context string, mu *graph.Mutable, capK int32) {
+	t.Helper()
+	full := DecomposeMutable(mu)
+	got, sup, err := DecomposeMutableCapped(mu, capK, func() error { return nil })
+	if err != nil {
+		t.Fatalf("%s: %v", context, err)
+	}
+	want := &Decomposition{G: full.G, Truss: make([]int32, len(full.Truss)), VertexTruss: make([]int32, len(full.VertexTruss))}
+	atLeast := graph.NewMutableShell(full.G)
+	for e, k := range full.Truss {
+		want.Truss[e] = min(k, capK)
+		if k >= capK {
+			atLeast.AddEdgeByID(int32(e))
+		}
+	}
+	want.finishVertexTruss()
+	assertSameLabels(t, context, got, want)
+	recount := graph.MutableEdgeSupports(atLeast)
+	atLeast.ForEachLiveEdge(func(e int32, _, _ int) {
+		if sup[e] != recount[e] {
+			t.Fatalf("%s: residual support of %s = %d, recount inside the >=%d subgraph = %d",
+				context, full.G.EdgeKeyOf(e), sup[e], capK, recount[e])
+		}
+	})
 }
