@@ -184,6 +184,19 @@ func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, sup []int32,
 		if st.graphD < d {
 			d = st.graphD
 		}
+		// The largest query-to-query distance bounds every later round's
+		// graph query distance from below (distances only grow as edges go,
+		// and the query vertices stay), and the answer is the earliest round
+		// of minimum distance: once d is no larger, no later round can win.
+		lb := int32(0)
+		for _, v := range q {
+			if st.maxDist[v] > lb {
+				lb = st.maxDist[v]
+			}
+		}
+		if d <= lb {
+			break
+		}
 		victims := selectVictims(st, rule, d)
 		if len(victims) == 0 {
 			break // every vertex is a query vertex at distance < d-1
