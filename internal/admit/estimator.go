@@ -84,11 +84,13 @@ func (e *Estimator) Units(ix *trussindex.Index, req core.Request) int64 {
 	case core.AlgoBulkDelete:
 		units += 4 * degSum
 	case core.AlgoLCTC:
-		eta := int64(req.Eta)
+		eta := req.Eta
 		if eta <= 0 {
 			eta = 1000 // core's default expansion budget
 		}
-		units += eta
+		// The expansion cannot outgrow the graph, so neither may its price:
+		// a client-supplied η is otherwise a way to book hours of backlog.
+		units += int64(min(eta, n))
 	case core.AlgoDTruss:
 		// Orients and peels the whole graph per query (cycle+flow support
 		// per arc, kc descent).

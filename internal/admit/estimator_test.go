@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -62,6 +63,40 @@ func TestEstimatorUnvalidatedInput(t *testing.T) {
 	out := e.Units(ix, core.Request{Q: []int{1, -5, 99999}})
 	if in != out {
 		t.Fatalf("out-of-range vertices changed the estimate: %d vs %d", in, out)
+	}
+}
+
+// TestEstimatorClampsEta: a client-supplied η is not validated against the
+// graph (only negatives are rejected), and the expansion can never exceed
+// |V|, so the estimate must stop growing there — {"eta": 1e12} used to be
+// priced at hours, shedding every deadline-carrying request queued behind
+// it and dragging the calibration, and η >= 1<<58 overflowed outright.
+func TestEstimatorClampsEta(t *testing.T) {
+	ix := estIndex(t)
+	n := ix.Graph().N()
+	e := NewEstimator(0)
+	units := func(eta int) int64 { return e.Units(ix, core.Request{Q: []int{1, 2}, Eta: eta}) }
+	atN := units(n)
+	for _, tc := range []struct {
+		name string
+		eta  int
+		want int64
+	}{
+		{"default", 0, atN}, // 1000 > |V| = 6
+		{"1000", 1000, atN},
+		{"N-1", n - 1, atN - 1},
+		{"N", n, atN},
+		{"N+1", n + 1, atN},
+		{"1e12", 1e12, atN},
+		{"MaxInt", math.MaxInt, atN},
+	} {
+		got := units(tc.eta)
+		if got != tc.want {
+			t.Errorf("Eta %s: Units = %d, want %d", tc.name, got, tc.want)
+		}
+		if d := e.Duration(got); d <= 0 || d > time.Second {
+			t.Errorf("Eta %s: Duration = %v, want positive and small", tc.name, d)
+		}
 	}
 }
 

@@ -74,27 +74,36 @@ func (c *countingCtx) Err() error {
 // clean run must still match, proving abandonment leaks no workspace state
 // and loses no pooled workspace.
 func TestCancelAtEveryCheckpoint(t *testing.T) {
-	g := starCliqueChain(30, 6, 50)
-	ix := trussindex.Build(g)
-	s := NewSearcher(ix)
+	s := NewSearcher(trussindex.Build(starCliqueChain(30, 6, 50)))
 	q := chainEndpoints(30, 6)
+	// 2251 chain vertices: an expansion across all of them is past the size
+	// up to which the per-query graph carries bit rows, so this one runs the
+	// merge kernels where the 151-vertex chain above runs the row kernels.
+	long := NewSearcher(trussindex.Build(starCliqueChain(450, 6, 50)))
+	longQ := chainEndpoints(450, 6)
 
 	for _, tc := range []struct {
 		name string
+		s    *Searcher
 		req  Request
 	}{
 		// K=2 pulls the star into the starting graph (everything is a
 		// 2-truss), maximizing peel work for the two global algorithms.
-		{"Basic", Request{Q: q, Algo: AlgoBasic, K: 2}},
-		{"BulkDelete", Request{Q: q, Algo: AlgoBulkDelete, K: 2}},
-		{"TrussOnly", Request{Q: q, Algo: AlgoTrussOnly}},
+		{"Basic", s, Request{Q: q, Algo: AlgoBasic, K: 2}},
+		{"BulkDelete", s, Request{Q: q, Algo: AlgoBulkDelete, K: 2}},
+		{"TrussOnly", s, Request{Q: q, Algo: AlgoTrussOnly}},
 		// A huge Eta sends LCTC's expansion across the whole chain.
-		{"LCTC", Request{Q: q, Eta: 1 << 20}},
+		{"LCTC", s, Request{Q: q, Eta: 1 << 20}},
+		{"LCTC/long", long, Request{Q: longQ, Eta: 1 << 20}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
 			ref, err := s.Search(context.Background(), tc.req)
 			if err != nil {
 				t.Fatalf("reference: %v", err)
+			}
+			if tc.s == long && ref.Stats.SeedEdges < 450*15 {
+				t.Fatalf("expansion kept %d edges, want the whole %d-edge chain", ref.Stats.SeedEdges, 450*15)
 			}
 			sawCancel := 0
 			completedAt := -1

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/trussindex"
 )
 
 // Community is the result of a community search: a connected k-truss
@@ -31,8 +32,9 @@ type Community struct {
 }
 
 // initCommunity fills a caller-allocated Community in place (Result embeds
-// one by value, so the whole query answer is a single allocation).
-func initCommunity(c *Community, algo string, sub *graph.Mutable, k int32, q []int) {
+// one by value, so the whole query answer is a single allocation). sub is an
+// overlay in the ID space of ws's index.
+func initCommunity(c *Community, algo string, sub *graph.Mutable, k int32, q []int, ws *trussindex.Workspace) {
 	*c = Community{
 		Algorithm: algo,
 		K:         k,
@@ -40,11 +42,27 @@ func initCommunity(c *Community, algo string, sub *graph.Mutable, k int32, q []i
 		vertices:  sub.Vertices(),
 		edgeCount: sub.M(),
 		sub:       sub,
-		queryDist: -1,
+		queryDist: queryDist(sub, q, ws),
 	}
-	if qd, ok := graph.GraphQueryDistance(sub, q); ok {
-		c.queryDist = int(qd)
+}
+
+// queryDist returns dist(sub, q) — graph.GraphQueryDistance on the
+// workspace's stamped BFS scratch — or -1 if some vertex of sub cannot reach
+// every query vertex. A BFS that reaches all of sub ends on a furthest
+// vertex.
+func queryDist(sub *graph.Mutable, q []int, ws *trussindex.Workspace) int {
+	d := int32(0)
+	for _, src := range q {
+		reach := graph.BFSMarked(sub, src, ws.ValA, ws.StampA, ws.QueueA)
+		ws.QueueA = reach
+		if len(reach) != sub.N() {
+			return -1
+		}
+		if far := ws.ValA[reach[len(reach)-1]]; far > d {
+			d = far
+		}
 	}
+	return int(d)
 }
 
 // N returns the number of vertices in the community.

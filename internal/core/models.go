@@ -47,7 +47,7 @@ func (s *Searcher) searchDirected(req Request, ws *trussindex.Workspace, res *Re
 	st.SeedEdges = dst.SeedEdges
 	st.PeelRounds = dst.PeelRounds
 	st.EdgesPeeled = dst.EdgesPeeled
-	initCommunity(&res.Community, AlgoDTruss.String(), com.Sub, int32(com.Kc), req.Q)
+	initCommunity(&res.Community, AlgoDTruss.String(), com.Sub, int32(com.Kc), req.Q, ws)
 	return nil
 }
 
@@ -64,7 +64,7 @@ func (s *Searcher) searchProb(req Request, ws *trussindex.Workspace, res *Result
 	st.SeedEdges = pst.SeedEdges
 	st.PeelRounds = pst.PeelRounds
 	st.EdgesPeeled = pst.EdgesPeeled
-	initCommunity(&res.Community, AlgoProbTruss.String(), com.Sub, com.K, req.Q)
+	initCommunity(&res.Community, AlgoProbTruss.String(), com.Sub, com.K, req.Q, ws)
 	return nil
 }
 
@@ -75,7 +75,7 @@ func (s *Searcher) searchMDC(req Request, ws *trussindex.Workspace, res *Result)
 	if err != nil {
 		return fmt.Errorf("core: MDC: %w", err)
 	}
-	fillBaseline(res, r, bst, AlgoMDC, int32(r.Score), req.Q)
+	fillBaseline(res, r, bst, AlgoMDC, int32(r.Score), req.Q, ws)
 	return nil
 }
 
@@ -87,14 +87,14 @@ func (s *Searcher) searchQDC(req Request, ws *trussindex.Workspace, res *Result)
 	if err != nil {
 		return fmt.Errorf("core: QDC: %w", err)
 	}
-	fillBaseline(res, r, bst, AlgoQDC, 0, req.Q)
+	fillBaseline(res, r, bst, AlgoQDC, 0, req.Q, ws)
 	return nil
 }
 
-func fillBaseline(res *Result, r *baseline.Result, bst *baseline.Stats, algo Algo, k int32, q []int) {
+func fillBaseline(res *Result, r *baseline.Result, bst *baseline.Stats, algo Algo, k int32, q []int, ws *trussindex.Workspace) {
 	st := &res.Stats
 	st.Seed, st.Peel = bst.Seed, bst.Peel
 	st.SeedEdges = r.M()
 	st.PeelRounds = bst.PeelSteps
-	initCommunity(&res.Community, algo.String(), r.Subgraph(), k, q)
+	initCommunity(&res.Community, algo.String(), r.Subgraph(), k, q, ws)
 }

@@ -116,22 +116,18 @@ func (st *peelState) dropLive(v int) {
 
 // greedyPeel runs the shared peeling framework on g0 (a connected k-truss
 // containing q) and returns the intermediate graph with the smallest graph
-// query distance, restricted to the component containing q. g0 is not
-// modified; all scratch comes from ws, so the steady state allocates only
-// the returned subgraph. sup, when non-nil, must hold the support inside g0
-// of every edge of g0 (indexed by g0's base edge IDs; other entries are never
-// read) and is consumed by the peel; nil means count the triangles here. The
+// query distance; the answer is the component of q in it. g0 is not
+// modified. All scratch comes from ws and from ps, the scratch of g0's base
+// graph, and so does the returned overlay: it is a shell of ps, valid until
+// ps hands that shell out again, and the steady state allocates nothing. The
 // workspace cancel hook is polled once per peel round (each round is a
 // handful of BFS passes over the live subgraph), so cancellation returns
 // promptly without per-edge checks; rounds and removed edges are tallied
-// into st.
-func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, sup []int32, ws *trussindex.Workspace, qs *QueryStats) (*graph.Mutable, error) {
-	work := ws.CloneFor(g0)
-	base := work.Base()
-	if sup == nil {
-		_, _, supBuf := ws.EdgeScratch()
-		sup = graph.MutableEdgeSupportsInto(work, supBuf)
-	}
+// into qs.
+func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, ps *trussindex.PeelScratch, ws *trussindex.Workspace, qs *QueryStats) (*graph.Mutable, error) {
+	work := ps.CloneOf(g0)
+	edgeStamp, edgeVal, supBuf := ps.EdgeScratch()
+	sup := graph.MutableEdgeSupportsInto(work, supBuf)
 
 	// Query membership marks (StampB) back the peel rules' tie preferences.
 	qEpoch := ws.StampB.Next()
@@ -139,7 +135,7 @@ func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, sup []int32,
 		ws.StampB.Mark[v] = qEpoch
 	}
 
-	st := &peelState{ws: ws, maxDist: ws.ValB, sumDist: ws.SumDist64()}
+	st := &peelState{ws: ws, maxDist: ws.ValB, sumDist: ps.SumDist()}
 	// The live list starts as the component of q[0] — all of g0, which is
 	// connected by construction — plus any isolated query vertices.
 	reach := graph.BFSMarked(work, q[0], ws.ValA, ws.StampA, ws.QueueA)
@@ -161,7 +157,6 @@ func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, sup []int32,
 	// Edge-level stamping is essential: the truss-maintenance cascade can
 	// delete an edge while both endpoints survive, so intermediate graphs
 	// are not induced subgraphs.
-	edgeStamp, edgeVal, _ := ws.EdgeScratch()
 	edgeEpoch := edgeStamp.Next()
 
 	qdHist := ws.Hist[:0]
@@ -225,9 +220,8 @@ func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, sup []int32,
 			best = int32(l)
 		}
 	}
-	// Reconstruct G_best from the deletion timeline, then hand back its
-	// q-component as a fresh overlay the caller owns.
-	sub := ws.ShellFor(base)
+	// Reconstruct G_best from the deletion timeline.
+	sub := ps.Shell()
 	g0.ForEachLiveEdge(func(e int32, _, _ int) {
 		if edgeStamp.Mark[e] != edgeEpoch || edgeVal[e] >= best {
 			sub.AddEdgeByID(e)
@@ -236,21 +230,7 @@ func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, sup []int32,
 	for _, v := range q {
 		sub.EnsureVertex(v)
 	}
-	comp := graph.BFSMarked(sub, q[0], ws.ValA, ws.StampA, ws.QueueA)
-	ws.QueueA = comp
-	out := graph.NewMutableShell(base)
-	for _, vq := range comp {
-		v := int(vq)
-		sub.ForEachIncidentEdge(v, func(e int32, w int) {
-			if w > v {
-				out.AddEdgeByID(e)
-			}
-		})
-	}
-	for _, v := range q {
-		out.EnsureVertex(v)
-	}
-	return out, nil
+	return sub, nil
 }
 
 // selectVictims applies the rule to choose this iteration's deletions,

@@ -51,7 +51,7 @@ func BenchmarkGreedyPeel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := greedyPeel(g0, k, q, peelBulk, nil, ws, &QueryStats{}); err != nil {
+		if _, err := greedyPeel(g0, k, q, peelBulk, &ws.Peel, ws, &QueryStats{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func BenchmarkGreedyPeelExact(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := greedyPeel(g0, k, q, peelBulkExact, nil, ws, &QueryStats{}); err != nil {
+		if _, err := greedyPeel(g0, k, q, peelBulkExact, &ws.Peel, ws, &QueryStats{}); err != nil {
 			b.Fatal(err)
 		}
 	}

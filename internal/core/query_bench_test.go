@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+	"time"
+)
 
 // searchBenchSetup reuses the peel benchmark's graph/index/query (the shared
 // 59k-edge workload of BENCH_pr1.json) but returns a Searcher for the
@@ -68,4 +72,38 @@ func BenchmarkSearchThroughputParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLCTCPhases answers the golden query sets (TestLCTCGolden's) once
+// per iteration and reports where a search spends its time — the in-process
+// number to iterate on between full bench/run.sh runs. ns/op, B/op and
+// allocs/op are per search, like the *_ms metrics.
+func BenchmarkLCTCPhases(b *testing.B) {
+	for _, name := range []string{"facebook", "dblp"} {
+		b.Run(name, func(b *testing.B) {
+			_, s, qs := goldenQueries(b, name)
+			ctx := context.Background()
+			var seed, expand, peel time.Duration
+			var rounds, peeled int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := s.Search(ctx, Request{Q: qs[i%len(qs)]})
+				if err != nil {
+					b.Fatal(err)
+				}
+				seed += res.Stats.Seed
+				expand += res.Stats.Expand
+				peel += res.Stats.Peel
+				rounds += res.Stats.PeelRounds
+				peeled += res.Stats.EdgesPeeled
+			}
+			perSearch := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+			b.ReportMetric(perSearch(seed), "seed_ms")
+			b.ReportMetric(perSearch(expand), "expand_ms")
+			b.ReportMetric(perSearch(peel), "peel_ms")
+			b.ReportMetric(float64(rounds)/float64(b.N), "peel_rounds")
+			b.ReportMetric(float64(peeled)/float64(b.N), "edges_peeled")
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -170,13 +171,16 @@ func (s *Searcher) searchGlobal(req Request, ws *trussindex.Workspace, res *Resu
 			rule = peelBulk
 		}
 		tp := time.Now()
-		sub, err = greedyPeel(g0, k, req.Q, rule, nil, ws, st)
-		st.Peel = time.Since(tp)
+		best, err := greedyPeel(g0, k, req.Q, rule, &ws.Peel, ws, st)
 		if err != nil {
+			st.Peel = time.Since(tp)
 			return fmt.Errorf("core: %s: %w", req.Algo, err)
 		}
+		sub = graph.NewMutableShell(g0.Base())
+		copyComponent(sub, req.Q, best, req.Q[0], nil, ws)
+		st.Peel = time.Since(tp)
 	}
-	initCommunity(&res.Community, req.Algo.String(), sub, k, req.Q)
+	initCommunity(&res.Community, req.Algo.String(), sub, k, req.Q, ws)
 	return nil
 }
 
@@ -199,64 +203,59 @@ func (s *Searcher) searchLCTC(req Request, ws *trussindex.Workspace, res *Result
 		kt = 2
 	}
 	te := time.Now()
-	gt, err := s.expand(tree.Vertices, kt, req.eta(), ws)
+	x, err := s.expand(tree.Vertices, kt, req.eta(), ws)
 	if err != nil {
 		st.Expand = time.Since(te)
 		return fmt.Errorf("core: LCTC expansion: %w", err)
+	}
+	x.Q = x.Q[:0]
+	for _, v := range req.Q {
+		x.Q = append(x.Q, x.Local(v))
 	}
 	// Truss-decompose the expansion up to kt — bestKTrussWithin never looks
 	// above it — and find the largest k <= kt such that a connected k-truss
 	// containing Q survives inside Gt. Cancellable: with a client-supplied η
 	// the expansion can span the whole graph, so the peel polls the same
 	// workspace hook as every other phase.
-	dec, sup, err := truss.DecomposeMutableCapped(gt, kt, ws.Canceled)
+	dec, err := truss.DecomposeCapped(&x.G, kt, ws.Canceled, &x.Decompose)
 	if err != nil {
 		st.Expand = time.Since(te)
 		return fmt.Errorf("core: LCTC expansion: %w", err)
 	}
-	// The decomposition normally runs on a frozen copy of Gt; gtEdges maps
-	// that copy's edge IDs back to the index's, while Gt's shell is intact.
-	var gtEdges []int32
-	if dec.G != s.ix.Graph() {
-		gtEdges = gt.LiveEdgeIDs()
-	}
-	ht, k, err := bestKTrussWithin(dec, req.Q, kt, ws)
+	ht, k, err := bestKTrussWithin(dec, x.Q, kt, &x.Peel, ws)
 	st.Expand = time.Since(te)
 	if err != nil {
 		return fmt.Errorf("core: LCTC extraction: %w", err)
 	}
 	st.SeedEdges = ht.M()
 	tp := time.Now()
-	if k != kt {
-		// The residual supports describe the kt-truss of Gt only.
-		sup = nil
-	}
-	best, err := greedyPeel(ht, k, req.Q, peelBulkExact, sup, ws, st)
+	best, err := greedyPeel(ht, k, x.Q, peelBulkExact, &x.Peel, ws, st)
 	if err != nil {
 		return fmt.Errorf("core: LCTC: %w", err)
 	}
-	if gtEdges != nil {
-		// Hand the community back on the index's graph, so that a retained
-		// Result does not keep this query's copy of Gt alive.
-		onIndex := graph.NewMutableShell(s.ix.Graph())
-		best.ForEachLiveEdge(func(e int32, _, _ int) { onIndex.AddEdgeByID(gtEdges[e]) })
-		for _, v := range req.Q {
-			onIndex.EnsureVertex(v)
-		}
-		best = onIndex
-	}
+	// Everything so far lives in the pooled expansion; the community is
+	// handed back on the index's graph, the one allocation after the seed,
+	// so that a retained Result keeps nothing of this query alive.
+	out := graph.NewMutableShell(s.ix.Graph())
+	copyComponent(out, req.Q, best, x.Q[0], x.Edge, ws)
 	st.Peel = time.Since(tp)
-	initCommunity(&res.Community, AlgoLCTC.String(), best, k, req.Q)
+	initCommunity(&res.Community, AlgoLCTC.String(), out, k, req.Q, ws)
 	return nil
 }
 
 // expand grows the vertex set from the Steiner tree through edges of
 // trussness >= kt, BFS order, stopping once the budget is reached, and
 // returns the induced subgraph on the collected vertices restricted to
-// edges of trussness >= kt — as a workspace shell, valid until the shell is
-// next requested. The workspace cancel hook is polled every
-// cancel-check-interval frontier vertices.
-func (s *Searcher) expand(seed []int, kt int32, eta int, ws *trussindex.Workspace) (*graph.Mutable, error) {
+// edges of trussness >= kt — as the compact graph of the workspace's
+// Expansion: vertices relabelled in ascending order, so local edge order is
+// index edge-ID order and every smallest-ID tie-break downstream decides as
+// it would on the index's graph. The workspace cancel hook is polled every
+// cancelStride vertices.
+func (s *Searcher) expand(seed []int, kt int32, eta int, ws *trussindex.Workspace) (*trussindex.Expansion, error) {
+	// The expansion cannot outgrow the graph, whatever the client asked for.
+	if n := s.ix.Graph().N(); eta > n {
+		eta = n
+	}
 	in := ws.StampA
 	in.Next()
 	frontier := ws.QueueA[:0]
@@ -286,37 +285,25 @@ func (s *Searcher) expand(seed []int, kt int32, eta int, ws *trussindex.Workspac
 			}
 		}
 	}
+	slices.Sort(frontier)
 	ws.QueueA = frontier
-	// The expansion contains only indexed-graph edges, so build it as an
-	// edge-bitset overlay of the base graph, each edge inserted once from
-	// its smaller endpoint.
-	gt := ws.Shell()
-	for i, vq := range frontier {
-		if i&(cancelStride-1) == 0 {
-			if err := ws.Canceled(); err != nil {
-				return nil, err
-			}
-		}
-		v := int(vq)
-		gt.EnsureVertex(v)
-		nbrs, eids := s.ix.NeighborsAtLeast(v, kt)
-		for i, u := range nbrs {
-			if int(u) > v && in.Marked(u) {
-				gt.AddEdgeByID(eids[i])
-			}
-		}
+	x := ws.Expansion()
+	arcs := func(v int) ([]int32, []int32) { return s.ix.NeighborsAtLeast(v, kt) }
+	if err := x.Build(frontier, in, ws.ValA, arcs, ws.Canceled); err != nil {
+		return nil, err
 	}
-	return gt, nil
+	return x, nil
 }
 
 // bestKTrussWithin finds the maximum k <= cap such that the subgraph of the
 // decomposed expansion restricted to edges of local trussness >= k connects
-// q, and returns the q-component of that subgraph (freshly allocated). The
-// candidate subgraphs are built incrementally: edges enter a resettable
-// overlay in descending trussness order, so scanning k from the Lemma-1
-// bound downward inserts each edge at most once. Cancellation is polled
-// once per candidate level.
-func bestKTrussWithin(dec *truss.Decomposition, q []int, capK int32, ws *trussindex.Workspace) (*graph.Mutable, int32, error) {
+// q, and returns the q-component of that subgraph in a shell of ps (the
+// scratch of dec.G), valid until ps hands that shell out again. The candidate
+// subgraphs are built incrementally: edges enter a resettable overlay in
+// descending trussness order, so scanning k from the Lemma-1 bound downward
+// inserts each edge at most once. Cancellation is polled once per candidate
+// level.
+func bestKTrussWithin(dec *truss.Decomposition, q []int, capK int32, ps *trussindex.PeelScratch, ws *trussindex.Workspace) (*graph.Mutable, int32, error) {
 	hi := dec.QueryUpperBound(q)
 	if hi > capK {
 		hi = capK
@@ -344,7 +331,7 @@ func bestKTrussWithin(dec *truss.Decomposition, q []int, capK int32, ws *trussin
 		order[cnt[t]] = e
 	}
 	ws.QueueB = order
-	mu := ws.ShellFor(dec.G)
+	mu := ps.Shell()
 	pos := 0
 	for k := hi; k >= 2; k-- {
 		if err := ws.Canceled(); err != nil {
@@ -357,23 +344,34 @@ func bestKTrussWithin(dec *truss.Decomposition, q []int, capK int32, ws *trussin
 		if !connectedOn(mu, q, ws) {
 			continue
 		}
-		comp := graph.BFSMarked(mu, q[0], ws.ValA, ws.StampA, ws.QueueA)
-		ws.QueueA = comp
-		ht := graph.NewMutableShell(dec.G)
-		for _, vq := range comp {
-			v := int(vq)
-			mu.ForEachIncidentEdge(v, func(e int32, w int) {
-				if w > v {
-					ht.AddEdgeByID(e)
-				}
-			})
-		}
-		for _, v := range q {
-			ht.EnsureVertex(v)
-		}
+		ht := ps.Shell()
+		copyComponent(ht, q, mu, q[0], nil, ws)
 		return ht, k, nil
 	}
 	return nil, 0, truss.ErrNoCommunity
+}
+
+// copyComponent adds the connected component of src in mu to dst, edge by
+// edge — edge e of mu becomes edge edges[e] of dst (the same ID when edges is
+// nil) — and then the query vertices q, given in dst's ID space, in case one
+// has no edge.
+func copyComponent(dst *graph.Mutable, q []int, mu *graph.Mutable, src int, edges []int32, ws *trussindex.Workspace) {
+	comp := graph.BFSMarked(mu, src, ws.ValA, ws.StampA, ws.QueueA)
+	ws.QueueA = comp
+	for _, vq := range comp {
+		v := int(vq)
+		mu.ForEachIncidentEdge(v, func(e int32, w int) {
+			if w > v {
+				if edges != nil {
+					e = edges[e]
+				}
+				dst.AddEdgeByID(e)
+			}
+		})
+	}
+	for _, v := range q {
+		dst.EnsureVertex(v)
+	}
 }
 
 // connectedOn reports whether all of q is present and mutually reachable in

@@ -62,6 +62,26 @@ func DifferentialCorpus() []CorpusGraph {
 	return cases
 }
 
+// Rowed returns a twin of g built through graph.Compact with every vertex
+// kept: the same vertex and edge IDs, plus the bit rows a small per-query
+// graph carries (none above the size where rows stop paying). Differential
+// tests hold the row kernels of the twin against the merge kernels of g.
+func Rowed(g *graph.Graph) *graph.Graph {
+	verts := make([]int32, g.N())
+	member := graph.NewStamp(g.N())
+	member.Next()
+	for v := range verts {
+		verts[v] = int32(v)
+		member.Set(int32(v))
+	}
+	var c graph.Compact
+	arcs := func(v int) ([]int32, []int32) { return g.Neighbors(v), g.NeighborEdgeIDs(v) }
+	if err := c.Build(verts, member, make([]int32, g.N()), arcs, nil); err != nil {
+		panic(err) // no poll, no error
+	}
+	return &c.G
+}
+
 // starGraph is a hub with `leaves` pendant edges: zero triangles, every
 // label exactly 2, one giant frontier in the first parallel round.
 func starGraph(leaves int) *graph.Graph {

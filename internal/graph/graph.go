@@ -30,6 +30,11 @@ type Graph struct {
 	// edges[e] packs the endpoints of edge e; ascending, so edge IDs
 	// enumerate edges in (min, max) lexicographic order.
 	edges []EdgeKey
+	// rows, when non-nil, is the graph's adjacency as a bit matrix. Only
+	// Compact.Build attaches it, to small per-query graphs; the intersection
+	// and BFS kernels of Graph and Mutable use it in place of merging
+	// adjacency lists.
+	rows *bitRows
 }
 
 // N returns the number of vertices.
@@ -71,10 +76,17 @@ func (g *Graph) HasEdge(u, v int) bool { return g.EdgeID(u, v) >= 0 }
 
 // EdgeID returns the dense edge ID of (u, v), or -1 if the edge does not
 // exist (including out-of-range or equal endpoints). It binary-searches the
-// shorter of the two adjacency lists.
+// shorter of the two adjacency lists, or reads the bit rows of a graph that
+// has them.
 func (g *Graph) EdgeID(u, v int) int32 {
 	if u < 0 || v < 0 || u >= g.N() || v >= g.N() || u == v {
 		return -1
+	}
+	if r := g.rows; r != nil {
+		if r.row(u)[v>>6]&(1<<(uint(v)&63)) == 0 {
+			return -1
+		}
+		return g.rowEdge(u, int32(v))
 	}
 	// Search the shorter list.
 	if g.Degree(u) > g.Degree(v) {

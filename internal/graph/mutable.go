@@ -24,6 +24,13 @@ type Mutable struct {
 	present []bool
 	n       int // number of present vertices
 	aliveM  int // live base edges
+	// live, on a base graph with bit rows, is this overlay's own copy of
+	// them (same layout): bit x of row u is set iff the base edge (u, x) is
+	// alive, and w the words per row. Empty otherwise. w is the overlay's
+	// own: a Compact rebuilt in place changes the base's row length under an
+	// overlay that has yet to be Reset.
+	live []uint64
+	w    int
 	// overflow adjacency for edges outside the base graph; nil until first
 	// foreign AddEdge. Unsorted, both directions mirrored.
 	extra  [][]int32
@@ -40,12 +47,86 @@ type Mutable struct {
 }
 
 func newOverlay(g *Graph) *Mutable {
-	return &Mutable{
+	mu := &Mutable{
 		base:    g,
 		alive:   NewBitset(g.M()),
 		deg:     make([]int32, g.N()),
 		present: make([]bool, g.N()),
 	}
+	if r := g.rows; r != nil {
+		mu.live, mu.w = make([]uint64, len(r.bits)), r.w
+	}
+	return mu
+}
+
+// grown returns s with length n, reusing its storage when it can. Elements
+// past the old length are whatever the storage held (zero, for the callers
+// here, which clear before they shrink).
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Reset empties mu — no vertices present, no edges alive — and binds it to
+// g, reusing mu's storage. It is how a pooled overlay follows a Compact
+// graph that is rebuilt in place with a different size; a resettable shell
+// stays one, and is emptied in O(touched).
+func (mu *Mutable) Reset(g *Graph) {
+	if mu.tracked {
+		mu.ResetShell()
+	} else {
+		clear(mu.alive)
+		clear(mu.deg)
+		clear(mu.present)
+		clear(mu.live)
+		mu.n, mu.aliveM, mu.extraM, mu.extra = 0, 0, 0, nil
+	}
+	mu.base = g
+	mu.alive = grown(mu.alive, (g.M()+63)/64)
+	mu.deg = grown(mu.deg, g.N())
+	mu.present = grown(mu.present, g.N())
+	if mu.tracked {
+		mu.wordSeen = grown(mu.wordSeen, len(mu.alive))
+	}
+	if len(mu.extra) != g.N() {
+		mu.extra = nil
+	}
+	if r := g.rows; r != nil {
+		mu.live, mu.w = grown(mu.live, len(r.bits)), r.w
+	} else {
+		mu.live = mu.live[:0]
+	}
+}
+
+// Fill makes mu its whole base graph: every vertex present, every edge
+// alive.
+func (mu *Mutable) Fill() {
+	g := mu.base
+	for v := range mu.present {
+		mu.present[v] = true
+		mu.deg[v] = int32(g.Degree(v))
+	}
+	mu.n = g.N()
+	mu.alive.SetAll(g.M())
+	mu.aliveM = g.M()
+	if r := g.rows; r != nil {
+		copy(mu.live, r.bits)
+	}
+}
+
+// setRowBits and clearRowBits record the base edge (u, v) in the live rows.
+func (mu *Mutable) setRowBits(u, v int) {
+	w := mu.w
+	mu.live[u*w+v>>6] |= 1 << (uint(v) & 63)
+	mu.live[v*w+u>>6] |= 1 << (uint(u) & 63)
+}
+
+func (mu *Mutable) clearRowBits(u, v int) {
+	w := mu.w
+	mu.live[u*w+v>>6] &^= 1 << (uint(v) & 63)
+	mu.live[v*w+u>>6] &^= 1 << (uint(u) & 63)
 }
 
 // NewMutable builds a Mutable containing the induced subgraph of g on the
@@ -53,15 +134,7 @@ func newOverlay(g *Graph) *Mutable {
 func NewMutable(g *Graph, vertices []int) *Mutable {
 	mu := newOverlay(g)
 	if vertices == nil {
-		for v := 0; v < g.N(); v++ {
-			mu.present[v] = true
-		}
-		mu.n = g.N()
-		mu.alive.SetAll(g.M())
-		mu.aliveM = g.M()
-		for v := 0; v < g.N(); v++ {
-			mu.deg[v] = int32(g.Degree(v))
-		}
+		mu.Fill()
 		return mu
 	}
 	for _, v := range vertices {
@@ -77,6 +150,9 @@ func NewMutable(g *Graph, vertices []int) *Mutable {
 			mu.aliveM++
 			mu.deg[u]++
 			mu.deg[v]++
+			if len(mu.live) > 0 {
+				mu.setRowBits(u, v)
+			}
 		}
 	}
 	return mu
@@ -118,6 +194,9 @@ func (mu *Mutable) ResetShell() {
 		mu.deg[v] = 0
 		if mu.extra != nil {
 			mu.extra[v] = mu.extra[v][:0]
+		}
+		if len(mu.live) > 0 {
+			clear(mu.live[int(v)*mu.w : (int(v)+1)*mu.w])
 		}
 	}
 	mu.touchedVerts = mu.touchedVerts[:0]
@@ -195,6 +274,8 @@ func (mu *Mutable) Clone() *Mutable {
 		alive:   mu.alive.Clone(),
 		deg:     append([]int32(nil), mu.deg...),
 		present: append([]bool(nil), mu.present...),
+		live:    append([]uint64(nil), mu.live...),
+		w:       mu.w,
 		n:       mu.n,
 		aliveM:  mu.aliveM,
 		extraM:  mu.extraM,
@@ -212,7 +293,8 @@ func (mu *Mutable) Clone() *Mutable {
 
 // CloneInto copies mu's full state into dst, reusing dst's storage — the
 // pooled-workspace alternative to Clone for the peeling loops. Both
-// Mutables must wrap the same base graph, be overlay-pure, and dst must be
+// Mutables must wrap the same base graph (dst may still have the size the
+// graph had before a Compact rebuild), be overlay-pure, and dst must be
 // untracked (its touched lists could not survive a wholesale overwrite).
 func (mu *Mutable) CloneInto(dst *Mutable) {
 	if dst.base != mu.base {
@@ -223,9 +305,10 @@ func (mu *Mutable) CloneInto(dst *Mutable) {
 	}
 	mu.requirePure("CloneInto")
 	dst.requirePure("CloneInto")
-	copy(dst.alive, mu.alive)
-	copy(dst.deg, mu.deg)
-	copy(dst.present, mu.present)
+	dst.alive = append(dst.alive[:0], mu.alive...)
+	dst.deg = append(dst.deg[:0], mu.deg...)
+	dst.present = append(dst.present[:0], mu.present...)
+	dst.live, dst.w = append(dst.live[:0], mu.live...), mu.w
 	dst.n = mu.n
 	dst.aliveM = mu.aliveM
 }
@@ -357,6 +440,9 @@ func (mu *Mutable) AddEdgeByID(e int32) bool {
 	mu.addVertex(v)
 	mu.deg[u]++
 	mu.deg[v]++
+	if len(mu.live) > 0 {
+		mu.setRowBits(u, v)
+	}
 	return true
 }
 
@@ -419,6 +505,9 @@ func (mu *Mutable) DeleteEdgeByID(e int32) bool {
 	u, v := mu.base.EdgeEndpoints(e)
 	mu.deg[u]--
 	mu.deg[v]--
+	if len(mu.live) > 0 {
+		mu.clearRowBits(u, v)
+	}
 	return true
 }
 
@@ -440,6 +529,9 @@ func (mu *Mutable) DeleteVertex(v int) {
 			mu.alive.Clear(ids[i])
 			mu.aliveM--
 			mu.deg[w]--
+			if len(mu.live) > 0 {
+				mu.clearRowBits(v, int(w))
+			}
 		}
 	}
 	if mu.extra != nil {
@@ -533,6 +625,19 @@ func (mu *Mutable) CommonNeighborsEdges(u, v int, fn func(w, euw, evw int32)) {
 // intersection hit is measurable. Keep the twin in graph.go in sync.
 func (mu *Mutable) commonNeighborsMerged(u, v int, fn func(w, euw, evw int32)) {
 	g := mu.base
+	if len(mu.live) > 0 {
+		// The live rows hold live edges only: every set bit of the AND is a
+		// live triangle, and the static rows turn it into the wing edge IDs.
+		w := mu.w
+		ru, rv := mu.live[u*w:(u+1)*w], mu.live[v*w:(v+1)*w]
+		for i, word := range ru {
+			for word &= rv[i]; word != 0; word &= word - 1 {
+				x := int32(i<<6 + bits.TrailingZeros64(word))
+				fn(x, g.rowEdge(u, x), g.rowEdge(v, x))
+			}
+		}
+		return
+	}
 	ou, ov := g.off[u], g.off[v]
 	au, av := g.nbr[ou:g.off[u+1]], g.nbr[ov:g.off[v+1]]
 	i, j := 0, 0
@@ -558,16 +663,6 @@ func (mu *Mutable) CountCommonNeighbors(u, v int) int {
 	c := 0
 	mu.CommonNeighbors(u, v, func(int) { c++ })
 	return c
-}
-
-// LiveEdgeIDs returns the IDs of the live base edges in ascending order.
-// Freeze numbers the edges of an overlay-pure Mutable in exactly this order
-// (edge IDs ascend with the (min, max) endpoint key in both graphs), so
-// entry i is the base edge that edge i of the frozen graph stands for.
-func (mu *Mutable) LiveEdgeIDs() []int32 {
-	ids := make([]int32, 0, mu.aliveM)
-	mu.alive.ForEach(func(e int32) { ids = append(ids, e) })
-	return ids
 }
 
 // Freeze converts the current state into an immutable Graph over the same

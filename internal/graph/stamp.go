@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stamp is an epoch-versioned visit mark over a fixed ID space. A slot i is
 // "marked" iff Mark[i] equals the current epoch, so clearing all marks is an
@@ -107,6 +110,29 @@ func bfsMarkedOverlay(mu *Mutable, src int, dist []int32, st *Stamp, queue []int
 	dist[src] = 0
 	queue = append(queue, int32(src))
 	g := mu.base
+	if len(mu.live) > 0 {
+		// Word-parallel: a vertex's unseen live neighbours are its live row
+		// and-not the seen set, taken in ascending order — the order the CSR
+		// scan below reaches them in.
+		w := mu.w
+		var seen [maxRowWords]uint64
+		seen[src>>6] = 1 << (uint(src) & 63)
+		for head := 0; head < len(queue); head++ {
+			v := int(queue[head])
+			dv := dist[v]
+			for i, word := range mu.live[v*w : (v+1)*w] {
+				word &^= seen[i]
+				seen[i] |= word
+				for ; word != 0; word &= word - 1 {
+					u := int32(i<<6 + bits.TrailingZeros64(word))
+					st.Set(u)
+					dist[u] = dv + 1
+					queue = append(queue, u)
+				}
+			}
+		}
+		return queue
+	}
 	for head := 0; head < len(queue); head++ {
 		v := int(queue[head])
 		dv := dist[v]

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -20,6 +21,17 @@ func EdgeSupports(g *Graph) []int32 {
 // u < v. Each edge is owned by its smaller endpoint, so disjoint vertex
 // ranges write disjoint entries.
 func supportRange(g *Graph, sup []int32, lo, hi int) {
+	if r := g.rows; r != nil {
+		for u := lo; u < hi; u++ {
+			ids := g.NeighborEdgeIDs(u)
+			for i, w := range g.Neighbors(u) {
+				if int(w) > u {
+					sup[ids[i]] = countCommonRows(r.row(u), r.row(int(w)))
+				}
+			}
+		}
+		return
+	}
 	for u := lo; u < hi; u++ {
 		nb := g.Neighbors(u)
 		ids := g.NeighborEdgeIDs(u)
@@ -39,10 +51,17 @@ const parallelSupportThreshold = 1 << 14
 // sharded over GOMAXPROCS goroutines (work-stealing over vertex blocks, like
 // DiameterParallel). Used by truss.Decompose for the initial counting pass.
 func EdgeSupportsParallel(g *Graph) []int32 {
+	return EdgeSupportsInto(g, make([]int32, g.M()))
+}
+
+// EdgeSupportsInto is EdgeSupportsParallel writing into a caller (typically
+// pooled) buffer of length >= g.M(); every entry of the result is written.
+func EdgeSupportsInto(g *Graph, sup []int32) []int32 {
+	sup = sup[:g.M()]
 	if g.M() < parallelSupportThreshold {
-		return EdgeSupports(g)
+		supportRange(g, sup, 0, g.N())
+		return sup
 	}
-	sup := make([]int32, g.M())
 	workers := runtime.GOMAXPROCS(0)
 	const block = 256
 	nblocks := (g.N() + block - 1) / block
@@ -71,6 +90,15 @@ func EdgeSupportsParallel(g *Graph) []int32 {
 	}
 	wg.Wait()
 	return sup
+}
+
+// countCommonRows is countCommonSorted over two bit rows of equal length.
+func countCommonRows(a, b []uint64) int32 {
+	c := 0
+	for i, word := range a {
+		c += bits.OnesCount64(word & b[i])
+	}
+	return int32(c)
 }
 
 func countCommonSorted(a, b []int32) int {
@@ -114,6 +142,13 @@ func MutableEdgeSupports(mu *Mutable) []int32 {
 func MutableEdgeSupportsInto(mu *Mutable, sup []int32) []int32 {
 	mu.requirePure("MutableEdgeSupports")
 	sup = sup[:mu.base.M()]
+	if len(mu.live) > 0 {
+		w := mu.w
+		mu.ForEachLiveEdge(func(e int32, u, v int) {
+			sup[e] = countCommonRows(mu.live[u*w:(u+1)*w], mu.live[v*w:(v+1)*w])
+		})
+		return sup
+	}
 	mu.ForEachLiveEdge(func(e int32, u, v int) {
 		c := int32(0)
 		mu.commonNeighborsMerged(u, v, func(_, _, _ int32) { c++ })

@@ -41,41 +41,73 @@ type Decomposition struct {
 // peel itself is the array-based bucket queue, O(m) space and
 // O(Σ min(deg u, deg v)) triangle work.
 func Decompose(g *graph.Graph) *Decomposition {
-	d, _, _ := decompose(g, 0, nil)
+	d, _ := decompose(g, 0, nil, nil)
 	return d
 }
 
 // DecomposeCancelable is Decompose with a cancellation hook: poll (may be
 // nil) is called every few thousand peeled edges and a non-nil return
 // abandons the peel, propagating that error with no decomposition built.
-// Query paths pass the pooled workspace's Canceled method so a decomposition
-// running inside a cancelled query stops promptly.
 func DecomposeCancelable(g *graph.Graph, poll func() error) (*Decomposition, error) {
-	d, _, err := decompose(g, 0, poll)
-	return d, err
+	return decompose(g, 0, poll, nil)
+}
+
+// DecomposeCapped is DecomposeCancelable for a caller that never looks above
+// trussness capK (LCTC passes k_t): labels come back as min(τ, capK), with
+// capK <= 0 meaning no cap. All working storage, and the label arrays of the
+// returned Decomposition, come from sc, so the result is valid until sc is
+// next used; a pooled sc makes the steady state allocation-free apart from
+// the Decomposition header. This is the per-query path: it runs the serial
+// peel on purpose, because concurrent queries each spawning a GOMAXPROCS-wide
+// parallel peel would oversubscribe the scheduler.
+func DecomposeCapped(g *graph.Graph, capK int32, poll func() error, sc *Scratch) (*Decomposition, error) {
+	return decompose(g, capK, poll, sc)
+}
+
+// Scratch is the reusable working storage of one decomposition: the support
+// array, the bucket queue, the liveness overlay and the label arrays.
+// Nothing in it is tied to a particular graph; the zero value is ready to
+// use.
+type Scratch struct {
+	sup, order, pos, binStart, next []int32
+	truss, vertexTruss              []int32
+	live                            *graph.Mutable
+}
+
+// buf returns *p resized to n, reusing its storage when it can.
+func buf(p *[]int32, n int) []int32 {
+	if cap(*p) < n {
+		*p = make([]int32, n)
+	}
+	*p = (*p)[:n]
+	return *p
 }
 
 // decompose is the one serial peel. capK <= 0 decomposes fully. capK > 0
 // stops the peel as soon as the cheapest remaining edge has support >=
 // capK-2: every edge peeled so far has its exact trussness (< capK), every
 // remaining edge has trussness >= capK and is labelled capK, so the result
-// is min(τ, capK) everywhere. The support array is returned as the peel left
-// it. At a capped stop it holds, for every remaining edge, its exact support
-// inside the subgraph of remaining edges (the maximal capK-truss): the peel
-// skips a decrement only for an edge already sitting at the current minimum
-// support, and such an edge is peeled before the minimum can reach capK-2.
-// Entries of peeled edges are stale.
-func decompose(g *graph.Graph, capK int32, poll func() error) (*Decomposition, []int32, error) {
+// is min(τ, capK) everywhere. sc == nil allocates everything fresh, and the
+// result then owns its arrays.
+//
+// Liveness is a full overlay of g, so the triangles of a peeled edge come
+// from whichever kernel the graph has — a merge of two adjacency lists, or
+// the AND of two live bit rows on a small per-query graph.
+func decompose(g *graph.Graph, capK int32, poll func() error, sc *Scratch) (*Decomposition, error) {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	m := g.M()
 	d := &Decomposition{
 		G:           g,
-		Truss:       make([]int32, m),
-		VertexTruss: make([]int32, g.N()),
+		Truss:       buf(&sc.truss, m),
+		VertexTruss: buf(&sc.vertexTruss, g.N()),
 	}
+	clear(d.VertexTruss)
 	if m == 0 {
-		return d, nil, nil
+		return d, nil
 	}
-	sup := graph.EdgeSupportsParallel(g)
+	sup := graph.EdgeSupportsInto(g, buf(&sc.sup, m))
 	maxSup := int32(0)
 	for _, s := range sup {
 		if s > maxSup {
@@ -87,33 +119,51 @@ func decompose(g *graph.Graph, capK int32, poll func() error) (*Decomposition, [
 	// of the bucket holding support-s edges. A support decrement moves the
 	// edge to the head of its bucket and shrinks the bucket by one — O(1)
 	// decrease-key with zero allocation, and no stale entries to skip.
-	binStart := make([]int32, maxSup+2)
+	binStart := buf(&sc.binStart, int(maxSup)+2)
+	clear(binStart)
 	for _, s := range sup {
 		binStart[s+1]++
 	}
 	for s := int32(1); s <= maxSup+1; s++ {
 		binStart[s] += binStart[s-1]
 	}
-	order := make([]int32, m)
-	pos := make([]int32, m)
-	next := append([]int32(nil), binStart[:maxSup+1]...)
+	order := buf(&sc.order, m)
+	pos := buf(&sc.pos, m)
+	next := append(sc.next[:0], binStart[:maxSup+1]...)
+	sc.next = next
 	for e := int32(0); e < int32(m); e++ {
 		p := next[sup[e]]
 		next[sup[e]] = p + 1
 		order[p] = e
 		pos[e] = p
 	}
-	alive := graph.NewBitset(m)
-	alive.SetAll(m)
+	if sc.live == nil {
+		sc.live = graph.NewMutableShell(g)
+	} else {
+		sc.live.Reset(g)
+	}
+	live := sc.live
+	live.Fill()
+	// One closure for the whole peel; se is the support of the edge being
+	// peeled.
+	var se int32
+	relax := func(_, euw, evw int32) {
+		if sup[euw] > se {
+			decreaseKey(euw, sup, order, pos, binStart)
+		}
+		if sup[evw] > se {
+			decreaseKey(evw, sup, order, pos, binStart)
+		}
+	}
 	level := int32(2)
 	for i := 0; i < m; i++ {
 		if poll != nil && i&4095 == 0 {
 			if err := poll(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		e := order[i]
-		se := sup[e]
+		se = sup[e]
 		if capK > 0 && se+2 >= capK {
 			for _, f := range order[i:] {
 				d.Truss[f] = capK
@@ -124,22 +174,12 @@ func decompose(g *graph.Graph, capK int32, poll func() error) (*Decomposition, [
 			level = se + 2
 		}
 		d.Truss[e] = level
-		alive.Clear(e)
+		live.DeleteEdgeByID(e)
 		u, v := g.EdgeEndpoints(e)
-		g.ForEachCommonNeighborEdge(u, v, func(_, euw, evw int32) {
-			if !alive.Get(euw) || !alive.Get(evw) {
-				return
-			}
-			if sup[euw] > se {
-				decreaseKey(euw, sup, order, pos, binStart)
-			}
-			if sup[evw] > se {
-				decreaseKey(evw, sup, order, pos, binStart)
-			}
-		})
+		live.CommonNeighborsEdges(u, v, relax)
 	}
 	d.finishVertexTruss()
-	return d, sup, nil
+	return d, nil
 }
 
 // decreaseKey moves edge f one support bucket down: swap it with the first
@@ -175,39 +215,17 @@ func (d *Decomposition) finishVertexTruss() {
 // mu. The input is not modified. When mu is its base graph in full (the
 // common case for freshly wrapped graphs), the base is decomposed directly;
 // otherwise the live subgraph is frozen first.
-//
-// This runs the serial peel on purpose: the capped variant sits on the LCTC
-// per-query path (the eta-bounded expansion is decomposed on every query),
-// where concurrent queries each spawning a GOMAXPROCS-wide parallel peel
-// would oversubscribe the scheduler. Cold builds go through
-// DecomposeParallel via trussindex.Build / NewIncremental / NewDynamic.
 func DecomposeMutable(mu *graph.Mutable) *Decomposition {
-	d, _, _ := DecomposeMutableCapped(mu, 0, nil)
-	return d
-}
-
-// DecomposeMutableCapped is DecomposeMutable for a caller that never looks
-// above trussness capK (LCTC passes k_t): labels come back as min(τ, capK),
-// with capK <= 0 meaning no cap. It also returns the peel's residual support
-// array, indexed by the edge IDs of the returned Decomposition's G: for
-// every edge labelled capK, its support inside the subgraph of edges
-// labelled capK — what a k-truss maintenance cascade at k = capK needs to
-// start from. Entries of other edges are stale. poll is DecomposeCancelable's
-// hook (nil = never cancelled).
-func DecomposeMutableCapped(mu *graph.Mutable, capK int32, poll func() error) (*Decomposition, []int32, error) {
 	if mu.OverlayPure() && mu.M() == mu.Base().M() {
-		d, sup, err := decompose(mu.Base(), capK, poll)
-		if err != nil {
-			return nil, nil, err
-		}
+		d := Decompose(mu.Base())
 		if len(d.VertexTruss) < mu.NumIDs() {
 			vt := make([]int32, mu.NumIDs())
 			copy(vt, d.VertexTruss)
 			d.VertexTruss = vt
 		}
-		return d, sup, nil
+		return d
 	}
-	return decompose(mu.Freeze(), capK, poll)
+	return Decompose(mu.Freeze())
 }
 
 // EdgeTrussOf returns τ(u,v), or 0 if the edge does not exist.

@@ -24,9 +24,11 @@ import (
 //     a time into an initially empty overlay, forward and reverse order)
 //
 // and every path must produce byte-identical labels. The capped peel
-// (DecomposeMutableCapped, the LCTC per-query path) is held to min(label,
-// cap) and to recounted supports at every cap. New decomposition
-// implementations must be wired in here.
+// (DecomposeCapped, the LCTC per-query path) is held to min(label, cap) at
+// every cap, and the kernels underneath it and the maintenance cascade —
+// merging adjacency lists on a graph as a Builder makes it, intersecting bit
+// rows on the same graph as graph.Compact makes it — are held to each other
+// (assertKernels). New decomposition implementations must be wired in here.
 
 // assertSameLabels requires byte-identical decompositions: same edge-ID
 // space, same Truss array, same vertex trussness, same max.
@@ -112,47 +114,118 @@ func TestDifferentialAllDecompositionPaths(t *testing.T) {
 		}
 		assertSameLabels(t, tc.Name+"/replay-rev", insertReplay(t, tc.G, reverse), want)
 
-		// The capped peel at every level of the graph, at and below the
-		// floor, and above the top — on the whole graph (decomposed in
-		// place) and on a strict subgraph (decomposed on a frozen copy).
-		whole := graph.NewMutable(tc.G, nil)
-		thinned := whole.Clone()
+		// Both kernels of the per-query graph layer — the whole graph and a
+		// strict subgraph of it, each as built (merge kernels) and as its
+		// rowed twin (bit-row kernels).
+		thinned := graph.NewMutable(tc.G, nil)
 		for e := int32(0); e < m; e += 7 {
 			thinned.DeleteEdgeByID(e)
 		}
-		for _, capK := range append([]int32{1, 2, want.MaxTruss + 1}, want.Thresholds()...) {
-			assertCapped(t, fmt.Sprintf("%s/cap%d/whole", tc.Name, capK), whole, capK)
-			assertCapped(t, fmt.Sprintf("%s/cap%d/thinned", tc.Name, capK), thinned, capK)
+		for _, sub := range []struct {
+			name string
+			g    *graph.Graph
+		}{{"whole", tc.G}, {"thinned", thinned.Freeze()}} {
+			full := Decompose(sub.g)
+			for _, kernel := range []struct {
+				name string
+				g    *graph.Graph
+			}{{"merge", sub.g}, {"rows", gen.Rowed(sub.g)}} {
+				context := fmt.Sprintf("%s/%s/%s", tc.Name, sub.name, kernel.name)
+				assertKernels(t, context, kernel.g, sub.g)
+				for _, capK := range append([]int32{1, 2, full.MaxTruss + 1}, full.Thresholds()...) {
+					assertCapped(t, fmt.Sprintf("%s/cap%d", context, capK), kernel.g, full, capK, &capScratch)
+				}
+			}
 		}
 	}
 }
 
-// assertCapped holds DecomposeMutableCapped(mu, capK) against the full
-// decomposition of mu: every label is min(τ, capK), and the residual support
-// of every edge with τ >= capK is its triangle count inside the subgraph of
-// such edges, recounted from scratch.
-func assertCapped(t *testing.T, context string, mu *graph.Mutable, capK int32) {
+// capScratch is shared by every capped decomposition of the harness, the
+// way a pooled Expansion shares it between queries on graphs of any size.
+var capScratch Scratch
+
+// assertCapped holds DecomposeCapped(g, capK) against full, the whole
+// decomposition of the same graph: every label is min(τ, capK).
+func assertCapped(t *testing.T, context string, g *graph.Graph, full *Decomposition, capK int32, sc *Scratch) {
 	t.Helper()
-	full := DecomposeMutable(mu)
-	got, sup, err := DecomposeMutableCapped(mu, capK, func() error { return nil })
+	polled := 0
+	got, err := DecomposeCapped(g, capK, func() error { polled++; return nil }, sc)
 	if err != nil {
 		t.Fatalf("%s: %v", context, err)
 	}
+	if g.M() > 0 && polled == 0 {
+		t.Fatalf("%s: poll hook never invoked", context)
+	}
 	want := &Decomposition{G: full.G, Truss: make([]int32, len(full.Truss)), VertexTruss: make([]int32, len(full.VertexTruss))}
-	atLeast := graph.NewMutableShell(full.G)
 	for e, k := range full.Truss {
 		want.Truss[e] = min(k, capK)
-		if k >= capK {
-			atLeast.AddEdgeByID(int32(e))
-		}
 	}
 	want.finishVertexTruss()
 	assertSameLabels(t, context, got, want)
-	recount := graph.MutableEdgeSupports(atLeast)
-	atLeast.ForEachLiveEdge(func(e int32, _, _ int) {
-		if sup[e] != recount[e] {
-			t.Fatalf("%s: residual support of %s = %d, recount inside the >=%d subgraph = %d",
-				context, full.G.EdgeKeyOf(e), sup[e], capK, recount[e])
+}
+
+// assertKernels holds every kernel of g — a graph as the per-query path
+// builds it, with or without bit rows — against plain, the same graph from a
+// Builder: edge lookup, supports, BFS, and the maintenance cascade after a
+// random vertex set is deleted.
+func assertKernels(t *testing.T, context string, g, plain *graph.Graph) {
+	t.Helper()
+	n := plain.N()
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if got, want := g.EdgeID(u, v), plain.EdgeID(u, v); got != want {
+				t.Fatalf("%s: EdgeID(%d,%d) = %d, want %d", context, u, v, got, want)
+			}
 		}
-	})
+	}
+	wantSup := graph.EdgeSupports(plain)
+	if got := graph.EdgeSupports(g); !slices.Equal(got, wantSup) {
+		t.Fatalf("%s: EdgeSupports diverged", context)
+	}
+
+	// A random third of the vertices goes; what the cascade removes at each
+	// level of the graph must be the same set on both sides, and the BFS from
+	// every vertex of what is left must reach the same vertices in the same
+	// order at the same distances.
+	rng := gen.NewRNG(uint64(n)*31 + uint64(plain.M()))
+	var victims []int
+	for v := 0; v < n; v++ {
+		if rng.Intn(3) == 0 {
+			victims = append(victims, v)
+		}
+	}
+	for _, k := range []int32{2, 3, 4, 6} {
+		mu, ref := graph.NewMutable(g, nil), graph.NewMutable(plain, nil)
+		sup := graph.MutableEdgeSupports(mu)
+		if !slices.Equal(sup, wantSup) {
+			t.Fatalf("%s: MutableEdgeSupports diverged", context)
+		}
+		gotV, gotE := MaintainKTruss(mu, sup, k, victims)
+		wantV, wantE := MaintainKTruss(ref, slices.Clone(wantSup), k, victims)
+		slices.Sort(gotV)
+		slices.Sort(wantV)
+		slices.Sort(gotE)
+		slices.Sort(wantE)
+		if !slices.Equal(gotV, wantV) || !slices.Equal(gotE, wantE) {
+			t.Fatalf("%s: k=%d cascade removed %d vertices / %d edges, want %d / %d",
+				context, k, len(gotV), len(gotE), len(wantV), len(wantE))
+		}
+		if got, want := graph.MutableEdgeSupports(mu), graph.MutableEdgeSupports(ref); !slices.Equal(got, want) {
+			t.Fatalf("%s: k=%d supports after the cascade diverged", context, k)
+		}
+		gotDist, wantDist := make([]int32, n), make([]int32, n)
+		gotSt, wantSt := graph.NewStamp(n), graph.NewStamp(n)
+		for src := 0; src < n; src++ {
+			gotQ := graph.BFSMarked(mu, src, gotDist, gotSt, nil)
+			wantQ := graph.BFSMarked(ref, src, wantDist, wantSt, nil)
+			if !slices.Equal(gotQ, wantQ) {
+				t.Fatalf("%s: k=%d BFS from %d reached %v, want %v", context, k, src, gotQ, wantQ)
+			}
+			for _, v := range wantQ {
+				if !gotSt.Marked(v) || gotDist[v] != wantDist[v] {
+					t.Fatalf("%s: k=%d dist(%d,%d) = %d, want %d", context, k, src, v, gotDist[v], wantDist[v])
+				}
+			}
+		}
+	}
 }

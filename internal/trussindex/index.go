@@ -49,7 +49,14 @@ type Index struct {
 	// thresholds caches the distinct trussness values, descending.
 	thresholds []int32
 
-	pool sync.Pool // *Workspace
+	// free lists the released workspaces of this index. A plain list, not a
+	// sync.Pool: a Pool that has been used stays registered with the runtime
+	// for two more collections, and being embedded here it would pin a
+	// retired index — and through it that epoch's whole graph — for as long,
+	// which under frequent publishes is most of the heap. The list's length
+	// is bounded by the largest number of queries ever in flight at once.
+	freeMu sync.Mutex
+	free   []*Workspace
 }
 
 // Build constructs the index for g, running a truss decomposition first.

@@ -2,6 +2,7 @@ package trussindex
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -25,10 +26,12 @@ func ReadPoolStats() (acquires, fresh, releases int64) {
 
 // Workspace is the pooled per-query scratch of an Index: epoch-stamped
 // visit marks and value arrays, a stamped union-find, reusable BFS queues
-// and level buckets, resettable shell overlays of the indexed graph, and
-// the dense per-edge buffers of the peeling loops. All resets are
-// O(touched) — an epoch bump for the stamps, touched-word clearing for the
-// shells — so steady-state queries neither allocate nor scan O(n + m).
+// and level buckets, and the PeelScratch of the indexed graph (resettable
+// shell overlays, the dense per-edge buffers of the peeling loops). All
+// resets are O(touched) — an epoch bump for the stamps, touched-word
+// clearing for the shells — so steady-state queries neither allocate nor
+// scan O(n + m). An LCTC query also borrows an Expansion, which is pooled
+// apart from any index.
 //
 // Ownership rules:
 //   - A Workspace belongs to the Index that created it and must only be
@@ -72,33 +75,20 @@ type Workspace struct {
 	Victims []int
 	Hist    []int32
 
-	// SumDist backs the §5.2 peeling tie-break (Σ_q dist(v, q)).
-	SumDist []int64
-
-	// Sup is the dense per-edge support buffer of the peeling loops and
-	// EdgeVal the per-edge deletion-stamp buffer, both indexed by base edge
-	// IDs and paired with EdgeStamp.
-	EdgeStamp *graph.Stamp
-	EdgeVal   []int32
-	Sup       []int32
+	// Peel is the peeling scratch sized by the indexed graph.
+	Peel PeelScratch
 
 	// Maintain is the reusable scratch of the k-truss maintenance cascade.
 	Maintain truss.MaintainScratch
+
+	// expansion is the LCTC scratch borrowed by Expansion, nil until then.
+	expansion *Expansion
 
 	// dsu is the stamped union-find of FindG0.
 	dsu stampedDSU
 
 	// levels holds FindG0's per-trussness schedule buckets.
 	levels [][]int32
-
-	// shells are resettable edge-bitset overlays of the indexed graph,
-	// handed out round-robin by Shell().
-	shells   [2]*graph.Mutable
-	shellCur int
-
-	// cloneBuf backs CloneFor: a plain overlay of the indexed graph reused
-	// as the destructive working copy of the peeling loops.
-	cloneBuf *graph.Mutable
 
 	// countBuf backs CountBuf.
 	countBuf []int32
@@ -108,14 +98,21 @@ type Workspace struct {
 // pool is empty. Pair it with Release.
 func (ix *Index) AcquireWorkspace() *Workspace {
 	poolAcquires.Add(1)
-	if ws, ok := ix.pool.Get().(*Workspace); ok {
+	ix.freeMu.Lock()
+	if n := len(ix.free); n > 0 {
+		ws := ix.free[n-1]
+		ix.free[n-1] = nil
+		ix.free = ix.free[:n-1]
+		ix.freeMu.Unlock()
 		ws.reused = true
 		return ws
 	}
+	ix.freeMu.Unlock()
 	poolFresh.Add(1)
 	n := ix.g.N()
 	return &Workspace{
 		ix:     ix,
+		Peel:   PeelScratch{g: ix.g},
 		StampA: graph.NewStamp(n),
 		StampB: graph.NewStamp(n),
 		StampC: graph.NewStamp(n),
@@ -126,11 +123,19 @@ func (ix *Index) AcquireWorkspace() *Workspace {
 }
 
 // Release returns the workspace to its index's pool, dropping the query
-// context so a pooled workspace never pins a caller's context alive.
+// context so a pooled workspace never pins a caller's context alive, and a
+// borrowed Expansion to its own pool, so it outlives this index.
 func (ws *Workspace) Release() {
 	poolReleases.Add(1)
 	ws.ctx = nil
-	ws.ix.pool.Put(ws)
+	if ws.expansion != nil {
+		expansions.Put(ws.expansion)
+		ws.expansion = nil
+	}
+	ix := ws.ix
+	ix.freeMu.Lock()
+	ix.free = append(ix.free, ws)
+	ix.freeMu.Unlock()
 }
 
 // SetContext installs the cancellation context for the query about to run.
@@ -170,67 +175,106 @@ const cancelCheckInterval = 1 << 12
 // Index returns the owning index.
 func (ws *Workspace) Index() *Index { return ws.ix }
 
-// SumDist64 returns the pooled n-sized int64 buffer, allocating it on first
-// use.
-func (ws *Workspace) SumDist64() []int64 {
-	if ws.SumDist == nil {
-		ws.SumDist = make([]int64, ws.ix.g.N())
-	}
-	return ws.SumDist
-}
-
-// EdgeScratch returns the pooled per-edge stamp, value and support buffers
-// (each sized to the index's edge count), allocating them on first use.
-func (ws *Workspace) EdgeScratch() (*graph.Stamp, []int32, []int32) {
-	if ws.EdgeStamp == nil {
-		m := ws.ix.g.M()
-		ws.EdgeStamp = graph.NewStamp(m)
-		ws.EdgeVal = make([]int32, m)
-		ws.Sup = make([]int32, m)
-	}
-	return ws.EdgeStamp, ws.EdgeVal, ws.Sup
-}
-
 // Shell returns an empty resettable edge-bitset overlay of the indexed
-// graph. Two shells are kept and handed out alternately, matching the worst
-// simultaneous need of the query paths (e.g. greedyPeel's reconstruction
-// overlay while FindG0's accumulator is still parked); a third concurrent
-// request would reset the oldest shell, so callers must not hold more than
-// two at once.
-func (ws *Workspace) Shell() *graph.Mutable {
-	i := ws.shellCur & 1
-	ws.shellCur++
-	if ws.shells[i] == nil {
-		ws.shells[i] = graph.NewResettableShell(ws.ix.g)
-		return ws.shells[i]
-	}
-	sh := ws.shells[i]
-	sh.ResetShell()
-	return sh
+// graph; see PeelScratch.Shell for how many may be held at once.
+func (ws *Workspace) Shell() *graph.Mutable { return ws.Peel.Shell() }
+
+// PeelScratch is the part of a query's scratch that is sized by the graph
+// being peeled, not by the index: overlays of that graph and its dense
+// per-edge and per-vertex buffers. A Workspace has one for the indexed graph
+// (Basic, BulkDelete and everything that assembles subgraphs of it); an
+// Expansion has one for its compact graph. Buffers appear on first use and
+// follow the graph when a rebuilt Compact changes size.
+type PeelScratch struct {
+	g *graph.Graph
+
+	// shells are resettable overlays of g, handed out round-robin by Shell.
+	shells   [2]*graph.Mutable
+	shellCur int
+	// cloneBuf backs CloneOf.
+	cloneBuf *graph.Mutable
+
+	edgeStamp    *graph.Stamp
+	edgeVal, sup []int32
+	sumDist      []int64
 }
 
-// ShellFor returns an empty resettable overlay shell of the given base
-// graph: the pooled shell when base is the indexed graph, or a fresh one
-// otherwise (LCTC peels subgraphs of a per-query frozen expansion, whose
-// overlays cannot outlive the query).
-func (ws *Workspace) ShellFor(base *graph.Graph) *graph.Mutable {
-	if base == ws.ix.g {
-		return ws.Shell()
+// Shell returns an empty resettable overlay of the graph. Two shells are
+// kept and handed out alternately, matching the worst simultaneous need of
+// the query paths (e.g. greedyPeel's reconstruction overlay while the graph
+// it peels is still parked in the other); a third concurrent request would
+// reset the oldest shell, so callers must not hold more than two at once.
+func (p *PeelScratch) Shell() *graph.Mutable {
+	i := p.shellCur & 1
+	p.shellCur++
+	if p.shells[i] == nil {
+		p.shells[i] = graph.NewResettableShell(p.g)
+	} else {
+		p.shells[i].Reset(p.g)
 	}
-	return graph.NewResettableShell(base)
+	return p.shells[i]
 }
 
-// CloneFor returns a destructive working copy of mu: into the pooled clone
-// buffer when mu wraps the indexed graph, or a fresh Clone otherwise.
-func (ws *Workspace) CloneFor(mu *graph.Mutable) *graph.Mutable {
-	if mu.Base() != ws.ix.g {
-		return mu.Clone()
+// CloneOf returns a destructive working copy of mu, an overlay of the
+// graph, in the pooled clone buffer.
+func (p *PeelScratch) CloneOf(mu *graph.Mutable) *graph.Mutable {
+	if p.cloneBuf == nil {
+		p.cloneBuf = graph.NewMutableShell(p.g)
 	}
-	if ws.cloneBuf == nil {
-		ws.cloneBuf = graph.NewMutableShell(ws.ix.g)
+	mu.CloneInto(p.cloneBuf)
+	return p.cloneBuf
+}
+
+// EdgeScratch returns the per-edge stamp, value and support buffers, each
+// covering the graph's edge IDs.
+func (p *PeelScratch) EdgeScratch() (*graph.Stamp, []int32, []int32) {
+	if m := p.g.M(); p.edgeStamp == nil || p.edgeStamp.Len() < m {
+		p.edgeStamp = graph.NewStamp(m)
+		p.edgeVal = make([]int32, m)
+		p.sup = make([]int32, m)
 	}
-	mu.CloneInto(ws.cloneBuf)
-	return ws.cloneBuf
+	return p.edgeStamp, p.edgeVal, p.sup
+}
+
+// SumDist returns the per-vertex int64 buffer of the §5.2 peeling tie-break
+// (Σ_q dist(v, q)).
+func (p *PeelScratch) SumDist() []int64 {
+	if n := p.g.N(); len(p.sumDist) < n {
+		p.sumDist = make([]int64, n)
+	}
+	return p.sumDist
+}
+
+// Expansion is the scratch of the part of an LCTC query that runs after the
+// seed: the η-bounded expansion as a compact relabelled graph, the storage of
+// its capped decomposition, and the PeelScratch of that graph. Nothing in it
+// is sized by the index — η bounds all of it — so it is pooled process-wide
+// and survives the epoch publishes that retire an index together with its
+// workspace pool.
+type Expansion struct {
+	graph.Compact
+	// Decompose backs truss.DecomposeCapped on the compact graph.
+	Decompose truss.Scratch
+	// Peel is the peeling scratch of the compact graph.
+	Peel PeelScratch
+	// Q holds the query in local vertex IDs.
+	Q []int
+}
+
+var expansions sync.Pool // *Expansion
+
+// Expansion returns the LCTC scratch of the query running on ws, borrowing
+// it from the process-wide pool on first use; Release hands it back.
+func (ws *Workspace) Expansion() *Expansion {
+	if ws.expansion == nil {
+		x, ok := expansions.Get().(*Expansion)
+		if !ok {
+			x = new(Expansion)
+			x.Peel.g = &x.G
+		}
+		ws.expansion = x
+	}
+	return ws.expansion
 }
 
 // CountBuf returns a zeroed int32 buffer of the given length, reused
