@@ -5,51 +5,22 @@
 //
 //	ctcbench -exp all
 //	ctcbench -exp t2,t3,fig5,fig12 -queries 20 -seed 7
-//	ctcbench -throughput 8 -throughput-dur 5s
-//	ctcbench -mixed 8 -mixed-dur 10s -mixed-rate 500 -bench-out BENCH_pr3.json
 //
 // Experiment IDs: t2, t3, fig5, fig6, fig7, fig8, fig9, fig10, fig11,
 // fig12, fig13, fig14, fig15, fig16, ablation, ext.
 //
-// -throughput N skips the experiments and instead drives N concurrent
-// worker goroutines of LCTC queries against one shared truss index — the
-// read-only serving scenario — reporting aggregate and per-worker QPS.
-//
-// -mixed N drives the live-serving scenario instead: N query workers
-// against a serve.Manager while one updater streams edge deletions and
-// re-insertions at -mixed-rate updates/second; reports query latency
-// percentiles under sustained update load and, with -bench-out, records
-// them as a JSON artifact. Adding -wal runs the same stress three times —
-// no WAL, WAL without fsync, WAL with group-commit fsync — recording the
-// durability overhead (applied-update throughput and query p50/p99 deltas)
-// in one artifact (see BENCH_pr6.json).
-//
-// -decomp par|serial selects the cold-build truss decomposition for every
-// index built by the run: the level-synchronous parallel peel (default,
-// engaging above truss.ParallelThreshold edges) or the serial bucket-queue
-// peel, for before/after comparisons (see BENCH_pr4.json).
-//
-// -overload N runs the overload-injection harness with N tenants: a
-// baseline calibration, an open-loop burst at -overload-factor times the
-// sustainable rate, a 10k-request rejection storm, and a cache-hit check
-// under a saturated admission gate. The run exits nonzero if any
-// robustness invariant is violated (admitted p99 past its bound, a shed
-// request without a typed error, a tenant starved below its fair share, or
-// a rejected request that consumed a snapshot/workspace), so CI gates on
-// it (see BENCH_pr7.json).
+// The serving benchmark lives in bench/ (see bench/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/exp"
 	"repro/internal/gen"
-	"repro/internal/truss"
 )
 
 func main() {
@@ -60,53 +31,8 @@ func main() {
 		basicTO = flag.Duration("basic-timeout", 2*time.Second, "per-run budget for Basic before reporting Inf")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
 		csvDir  = flag.String("csv", "", "also write each artifact as CSV into this directory")
-		tpWork  = flag.Int("throughput", 0, "run the concurrent-throughput stress with this many workers instead of experiments")
-		tpDur   = flag.Duration("throughput-dur", 3*time.Second, "duration of the -throughput stress")
-		tpNet   = flag.String("throughput-net", "dblp", "network analogue the -throughput stress queries")
-		mxWork  = flag.Int("mixed", 0, "run the mixed read/write serving stress with this many query workers instead of experiments")
-		mxDur   = flag.Duration("mixed-dur", 5*time.Second, "duration of the -mixed stress")
-		mxNet   = flag.String("mixed-net", "dblp", "network analogue the -mixed stress serves")
-		mxRate  = flag.Int("mixed-rate", 500, "target updates/second for the -mixed stress")
-		mxWAL   = flag.Bool("wal", false, "with -mixed, compare durability configurations (no WAL vs WAL without fsync vs WAL with group-commit fsync)")
-		mxShard = flag.Int("shards", 1, "with -mixed, compare a single manager against a sharded tier of N partitioned managers behind the scatter-gather router")
-		ovTen   = flag.Int("overload", 0, "run the overload-injection harness with this many tenants instead of experiments (exits nonzero on an invariant violation)")
-		ovDur   = flag.Duration("overload-dur", 3*time.Second, "duration of each timed -overload phase (baseline, burst)")
-		ovNet   = flag.String("overload-net", "dblp", "network analogue the -overload harness serves")
-		ovFac   = flag.Float64("overload-factor", 4, "offered burst rate as a multiple of the measured sustainable QPS")
-		mxOut   = flag.String("bench-out", "", "write the -mixed or -overload result as a JSON benchmark artifact")
-		decomp  = flag.String("decomp", "par", "cold-build truss decomposition: par (level-synchronous parallel above truss.ParallelThreshold) or serial (bucket-queue peel)")
 	)
 	flag.Parse()
-	switch strings.ToLower(*decomp) {
-	case "par", "parallel":
-		// Default: DecomposeParallel engages above truss.ParallelThreshold.
-	case "serial":
-		truss.ParallelThreshold = math.MaxInt // every cold build takes the serial peel
-	default:
-		fmt.Fprintf(os.Stderr, "ctcbench: unknown -decomp %q (want par or serial)\n", *decomp)
-		os.Exit(1)
-	}
-	if *ovTen > 0 {
-		if err := runOverload(*ovTen, *ovDur, *ovNet, *ovFac, *seed, *mxOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "ctcbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *mxWork > 0 {
-		if err := runMixed(*mxWork, *mxDur, *mxNet, *mxRate, *mxShard, *seed, *mxOut, *mxWAL, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "ctcbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *tpWork > 0 {
-		if err := runThroughput(*tpWork, *tpDur, *tpNet, *seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "ctcbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	cfg := exp.Config{
 		QueriesPerPoint: *queries,
 		Seed:            *seed,

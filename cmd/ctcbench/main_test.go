@@ -1,7 +1,6 @@
 package main
 
 import (
-	"io"
 	"testing"
 	"time"
 
@@ -15,12 +14,6 @@ func fastCfg() Config {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run("nonesuch", fastCfg(), ""); err == nil {
 		t.Fatal("unknown experiment accepted")
-	}
-}
-
-func TestRunThroughputUnknownNetwork(t *testing.T) {
-	if err := runThroughput(1, time.Millisecond, "nonesuch", 0, io.Discard); err == nil {
-		t.Fatal("unknown network accepted")
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 func main() {
@@ -49,10 +49,11 @@ func run(list bool, network, out, truth string) error {
 	if network == "" {
 		return fmt.Errorf("need -network NAME or -list")
 	}
-	g, comms, err := repro.GenerateNetwork(network)
+	nw, err := gen.NetworkByName(network)
 	if err != nil {
 		return err
 	}
+	g, comms := nw.Graph(), nw.GroundTruth()
 	w := os.Stdout
 	if out != "" {
 		f, err := os.Create(out)
@@ -62,7 +63,7 @@ func run(list bool, network, out, truth string) error {
 		defer f.Close()
 		w = f
 	}
-	if err := repro.SaveEdgeList(w, g); err != nil {
+	if err := graph.WriteEdgeList(w, g); err != nil {
 		return err
 	}
 	if out != "" {

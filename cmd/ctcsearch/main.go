@@ -21,7 +21,10 @@ import (
 	"strings"
 	"time"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/trussindex"
 )
 
 func main() {
@@ -29,7 +32,7 @@ func main() {
 		graphPath = flag.String("graph", "", "edge-list file (\"u v\" lines, # comments)")
 		network   = flag.String("network", "", "synthetic network name (facebook, amazon, dblp, youtube, livejournal, orkut)")
 		queryStr  = flag.String("q", "", "comma-separated query vertex IDs (required)")
-		algo      = flag.String("algo", "lctc", "algorithm: "+repro.AlgoSpellings())
+		algo      = flag.String("algo", "lctc", "algorithm: "+core.AlgoSpellings())
 		fixedK    = flag.Int("k", 0, "fixed trussness k (0 = maximize; kf for dtruss)")
 		eta       = flag.Int("eta", 0, "LCTC expansion budget η (0 = default 1000)")
 		gamma     = flag.Float64("gamma", 0, "LCTC truss-distance penalty γ (0 = default 3)")
@@ -62,24 +65,24 @@ func run(out io.Writer, graphPath, network, queryStr, algo, direction string, fi
 	}
 	fmt.Fprintf(out, "graph: %d vertices, %d edges\n", g.N(), g.M())
 	start := time.Now()
-	client := repro.Open(g)
-	fmt.Fprintf(out, "truss index built in %v (max trussness %d)\n", time.Since(start).Round(time.Millisecond), client.MaxTrussness())
+	s := core.NewSearcher(trussindex.Build(g))
+	fmt.Fprintf(out, "truss index built in %v (max trussness %d)\n", time.Since(start).Round(time.Millisecond), s.Index().MaxTruss())
 	// One request for every algorithm: the CLI decodes its flags into the
 	// unified Request and calls Search. The historical -gamma -1 spelling
 	// maps onto the explicit hop-distance mode; -timeout becomes a context
 	// deadline that cancels the search mid-phase.
-	req := repro.Request{Q: q, K: int32(fixedK), Eta: eta, MinProb: minProb, Verify: verify}
+	req := core.Request{Q: q, K: int32(fixedK), Eta: eta, MinProb: minProb, Verify: verify}
 	if gamma < 0 {
-		req.DistanceMode = repro.DistHop
+		req.DistanceMode = core.DistHop
 	} else {
 		req.Gamma = gamma
 	}
 	var err2 error
-	req.Algo, err2 = repro.ParseAlgo(strings.ToLower(algo))
+	req.Algo, err2 = core.ParseAlgo(strings.ToLower(algo))
 	if err2 != nil {
 		return err2 // registry-derived: names every accepted spelling
 	}
-	req.Direction, err2 = repro.ParseDirection(strings.ToLower(direction))
+	req.Direction, err2 = core.ParseDirection(strings.ToLower(direction))
 	if err2 != nil {
 		return err2
 	}
@@ -90,7 +93,7 @@ func run(out io.Writer, graphPath, network, queryStr, algo, direction string, fi
 		defer cancel()
 	}
 	start = time.Now()
-	res, err := client.Search(ctx, req)
+	res, err := s.Search(ctx, req)
 	if err != nil {
 		return err
 	}
@@ -118,7 +121,7 @@ func run(out io.Writer, graphPath, network, queryStr, algo, direction string, fi
 		for _, v := range q {
 			highlight[v] = "gold"
 		}
-		if err := repro.WriteDOT(f, c.Subgraph(), highlight); err != nil {
+		if err := graph.WriteDOT(f, c.Subgraph(), &graph.DOTOptions{Name: "community", Highlight: highlight}); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "  wrote %s\n", dotPath)
@@ -142,7 +145,7 @@ func parseQuery(s string) ([]int, error) {
 	return q, nil
 }
 
-func loadGraph(graphPath, network string) (*repro.Graph, error) {
+func loadGraph(graphPath, network string) (*graph.Graph, error) {
 	switch {
 	case graphPath != "" && network != "":
 		return nil, fmt.Errorf("use either -graph or -network, not both")
@@ -152,10 +155,13 @@ func loadGraph(graphPath, network string) (*repro.Graph, error) {
 			return nil, err
 		}
 		defer f.Close()
-		return repro.LoadEdgeList(f)
+		return graph.ReadEdgeList(f)
 	case network != "":
-		g, _, err := repro.GenerateNetwork(network)
-		return g, err
+		nw, err := gen.NetworkByName(network)
+		if err != nil {
+			return nil, err
+		}
+		return nw.Graph(), nil
 	default:
 		return nil, fmt.Errorf("need -graph FILE or -network NAME")
 	}

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,6 +58,13 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 		{"closed update", func(w http.ResponseWriter) {
 			writeUpdateError(w, serve.ErrClosed)
 		}, http.StatusServiceUnavailable, "unavailable", ""},
+		// The body cap rejects before the backend is touched, so none is wired.
+		{"oversized query body", func(w http.ResponseWriter) {
+			newServer(nil).ServeHTTP(w, httptest.NewRequest("POST", "/query", oversizedBody()))
+		}, http.StatusRequestEntityTooLarge, "too_large", ""},
+		{"oversized update body", func(w http.ResponseWriter) {
+			newServer(nil).ServeHTTP(w, httptest.NewRequest("POST", "/update", oversizedBody()))
+		}, http.StatusRequestEntityTooLarge, "too_large", ""},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -75,6 +84,12 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 			t.Errorf("%s: Retry-After %q, want %q", tc.name, got, tc.retryAfter)
 		}
 	}
+}
+
+// oversizedBody is a well-formed JSON body just over maxBodyBytes: a
+// query-vertex list no real client sends.
+func oversizedBody() io.Reader {
+	return strings.NewReader(`{"q":[` + strings.Repeat("1,", maxBodyBytes/2) + `1]}`)
 }
 
 // TestServerOverloadSurface drives the full 429 path over the handler: with

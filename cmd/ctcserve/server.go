@@ -168,10 +168,30 @@ func (qr *queryRequest) toRequest() (core.Request, error) {
 	return req, nil
 }
 
+// maxBodyBytes caps a /query or /update request body. The largest body a
+// real client sends, a 64-edge update batch, is a few KB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. On failure it writes the error response (413 too_large for
+// an oversized body, 400 bad_request otherwise) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpErrorCode(w, http.StatusRequestEntityTooLarge, "too_large", "request body exceeds %d bytes", maxBodyBytes)
+	} else {
+		httpErrorCode(w, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
+	}
+	return false
+}
+
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var qr queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&qr); err != nil {
-		httpErrorCode(w, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
+	if !decodeBody(w, r, &qr) {
 		return
 	}
 	req, err := qr.toRequest()
@@ -298,8 +318,7 @@ type updateResponse struct {
 
 func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpErrorCode(w, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ops := req.Edges
@@ -450,8 +469,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // httpErrorCode writes a structured JSON error: a human-readable message
 // plus a stable machine-readable code clients can switch on (bad_request,
-// no_community, overloaded, canceled, deadline_exceeded, degraded,
-// unavailable, internal).
+// too_large, no_community, overloaded, canceled, deadline_exceeded,
+// degraded, unavailable, internal).
 func httpErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -27,8 +27,6 @@ type Community struct {
 	edgeCount int
 	queryDist int
 	sub       *graph.Mutable
-	diameter  int
-	diamDone  bool
 }
 
 // initCommunity fills a caller-allocated Community in place (Result embeds
@@ -100,18 +98,18 @@ func (c *Community) Density() float64 {
 // all-pairs BFS sweep is fanned out over multiple goroutines.
 const parallelDiameterThreshold = 512
 
-// Diameter returns the exact diameter of the community subgraph, computed
-// lazily (all-pairs BFS, parallel for large communities) and cached.
+// Diameter returns the exact diameter of the community subgraph: an
+// all-pairs BFS, parallel for large communities, run on every call. It is
+// not memoised, because a Result may be shared by concurrent readers (the
+// serve layer's result cache hands one to every hit).
 func (c *Community) Diameter() int {
-	if !c.diamDone {
-		if len(c.vertices) > parallelDiameterThreshold {
-			c.diameter, _ = graph.DiameterParallel(c.sub, 0)
-		} else {
-			c.diameter, _ = graph.Diameter(c.sub)
-		}
-		c.diamDone = true
+	var d int
+	if len(c.vertices) > parallelDiameterThreshold {
+		d, _ = graph.DiameterParallel(c.sub, 0)
+	} else {
+		d, _ = graph.Diameter(c.sub)
 	}
-	return c.diameter
+	return d
 }
 
 // String summarizes the community.

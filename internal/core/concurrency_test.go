@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -44,15 +45,12 @@ func TestConcurrentSearchersSharedIndex(t *testing.T) {
 		k    int32
 		err  bool
 	}
-	algos := []func(q []int, opt *Options) (*Community, error){
-		s.LCTC, s.Basic, s.BulkDelete, s.TrussOnly,
-	}
+	algos := []Algo{AlgoLCTC, AlgoBasic, AlgoBulkDelete, AlgoTrussOnly}
 	want := make([][]ref, len(algos))
-	opt := &Options{Verify: true}
 	for ai, algo := range algos {
 		want[ai] = make([]ref, len(queries))
 		for qi, q := range queries {
-			c, err := algo(q, opt)
+			c, err := search(s, Request{Q: q, Algo: algo, Verify: true})
 			if err != nil {
 				want[ai][qi] = ref{err: true}
 				continue
@@ -71,7 +69,7 @@ func TestConcurrentSearchersSharedIndex(t *testing.T) {
 			wg.Add(1)
 			go func(ai, qi int) {
 				defer wg.Done()
-				c, err := algos[ai](queries[qi], opt)
+				c, err := search(s, Request{Q: queries[qi], Algo: algos[ai], Verify: true})
 				w := want[ai][qi]
 				if err != nil {
 					if !w.err {
@@ -107,7 +105,6 @@ func TestWorkspaceReuseDeterministic(t *testing.T) {
 	})
 	ix := trussindex.Build(g)
 	s := NewSearcher(ix)
-	opt := &Options{Verify: true}
 	type ans struct {
 		n int
 		k int32
@@ -120,7 +117,7 @@ func TestWorkspaceReuseDeterministic(t *testing.T) {
 				continue
 			}
 			q := []int{c[0], c[len(c)-1]}
-			cm, err := s.LCTC(q, opt)
+			cm, err := search(s, Request{Q: q, Verify: true})
 			if err != nil {
 				got = append(got, ans{-1, -1})
 				continue
@@ -135,6 +132,31 @@ func TestWorkspaceReuseDeterministic(t *testing.T) {
 			if got[i] != first[i] {
 				t.Fatalf("round %d query %d: got %+v, want %+v (workspace state leaked)", round, i, got[i], first[i])
 			}
+		}
+	}
+}
+
+// TestDiameterConcurrentReaders calls Diameter on one Result from several
+// goroutines, as concurrent hits on the serve layer's result cache may. Run
+// with -race: a lazily memoised diameter is a data race.
+func TestDiameterConcurrentReaders(t *testing.T) {
+	res, err := paperSearcher().Search(context.Background(), Request{Q: []int{0, 1, 2}, Algo: AlgoBasic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diams := make([]int, 8)
+	var wg sync.WaitGroup
+	for i := range diams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			diams[i] = res.Diameter()
+		}()
+	}
+	wg.Wait()
+	for i, d := range diams {
+		if d != 3 {
+			t.Fatalf("reader %d: diameter %d, want 3", i, d)
 		}
 	}
 }

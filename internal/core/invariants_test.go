@@ -19,15 +19,15 @@ func TestInvariantBasicQueryDistanceIsMinimal(t *testing.T) {
 		s := NewSearcher(trussindex.Build(g))
 		rng := rand.New(rand.NewSource(seed * 7))
 		q := []int{rng.Intn(30), rng.Intn(30)}
-		basic, err := s.Basic(q, nil)
+		basic, err := search(s, Request{Q: q, Algo: AlgoBasic})
 		if err != nil {
 			continue
 		}
-		bd, err := s.BulkDelete(q, nil)
+		bd, err := search(s, Request{Q: q, Algo: AlgoBulkDelete})
 		if err != nil {
 			t.Fatalf("seed %d: BD failed after Basic succeeded: %v", seed, err)
 		}
-		g0, err := s.TrussOnly(q, nil)
+		g0, err := search(s, Request{Q: q, Algo: AlgoTrussOnly})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,11 +48,11 @@ func TestInvariantBDWithinOneOfBasic(t *testing.T) {
 		s := NewSearcher(trussindex.Build(g))
 		rng := rand.New(rand.NewSource(seed))
 		q := []int{rng.Intn(26), rng.Intn(26)}
-		basic, err := s.Basic(q, nil)
+		basic, err := search(s, Request{Q: q, Algo: AlgoBasic})
 		if err != nil {
 			continue
 		}
-		bd, err := s.BulkDelete(q, nil)
+		bd, err := search(s, Request{Q: q, Algo: AlgoBulkDelete})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +70,8 @@ func TestInvariantDiameterWithinLemma2Bounds(t *testing.T) {
 		s := NewSearcher(trussindex.Build(g))
 		rng := rand.New(rand.NewSource(seed))
 		q := []int{rng.Intn(28), rng.Intn(28), rng.Intn(28)}
-		for _, algo := range []func([]int, *Options) (*Community, error){s.Basic, s.BulkDelete, s.LCTC} {
-			c, err := algo(q, nil)
+		for _, algo := range []Algo{AlgoBasic, AlgoBulkDelete, AlgoLCTC} {
+			c, err := search(s, Request{Q: q, Algo: algo})
 			if err != nil {
 				continue
 			}
@@ -93,7 +93,7 @@ func TestInvariantSubsetOfG0(t *testing.T) {
 		s := NewSearcher(trussindex.Build(g))
 		rng := rand.New(rand.NewSource(seed))
 		q := []int{rng.Intn(30), rng.Intn(30)}
-		g0, err := s.TrussOnly(q, nil)
+		g0, err := search(s, Request{Q: q, Algo: AlgoTrussOnly})
 		if err != nil {
 			continue
 		}
@@ -101,8 +101,8 @@ func TestInvariantSubsetOfG0(t *testing.T) {
 		for _, v := range g0.Vertices() {
 			g0set[v] = true
 		}
-		for _, algo := range []func([]int, *Options) (*Community, error){s.Basic, s.BulkDelete} {
-			c, err := algo(q, nil)
+		for _, algo := range []Algo{AlgoBasic, AlgoBulkDelete} {
+			c, err := search(s, Request{Q: q, Algo: algo})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -128,9 +128,9 @@ func TestInvariantDeterminism(t *testing.T) {
 	g := randomGraph(77, 40, 0.18)
 	s := NewSearcher(trussindex.Build(g))
 	q := []int{3, 11, 29}
-	for _, algo := range []func([]int, *Options) (*Community, error){s.Basic, s.BulkDelete, s.LCTC, s.TrussOnly} {
-		a, errA := algo(q, nil)
-		b, errB := algo(q, nil)
+	for _, algo := range []Algo{AlgoBasic, AlgoBulkDelete, AlgoLCTC, AlgoTrussOnly} {
+		a, errA := search(s, Request{Q: q, Algo: algo})
+		b, errB := search(s, Request{Q: q, Algo: algo})
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("nondeterministic error behavior: %v vs %v", errA, errB)
 		}
@@ -158,7 +158,7 @@ func TestInvariantFixedKMonotonicity(t *testing.T) {
 	q := []int{1, 2}
 	prevN := 1 << 30
 	for k := int32(2); k <= 6; k++ {
-		c, err := s.TrussOnly(q, &Options{FixedK: k})
+		c, err := search(s, Request{Q: q, Algo: AlgoTrussOnly, K: k})
 		if err != nil {
 			break // no community at this k or above
 		}

@@ -8,13 +8,6 @@ import (
 	"repro/internal/trussindex"
 )
 
-// ErrTimeout is the legacy timeout sentinel: when a search bounded by
-// Options.Timeout exceeds its budget, the compat wrappers return an error
-// matching both ErrTimeout and context.DeadlineExceeded (the experiments
-// report such runs as "Inf", like the paper's 1-hour cap). Context-first
-// callers of Search get the bare context error instead.
-var ErrTimeout = errors.New("core: search exceeded its time budget")
-
 // cancelStride is the loop stride between workspace cancel-hook polls in
 // the query paths that are not naturally round-structured.
 const cancelStride = 1 << 12

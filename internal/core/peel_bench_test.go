@@ -15,8 +15,8 @@ var (
 	peelBenchQ  []int
 )
 
-func peelBenchSetup(b *testing.B) (*graph.Mutable, int32, []int) {
-	b.Helper()
+func peelBenchSetup(tb testing.TB) (*graph.Mutable, int32, []int) {
+	tb.Helper()
 	if peelBenchG0 == nil {
 		g, truth := gen.CommunityGraph(gen.CommunityParams{
 			N: 9000, NumCommunities: 550, MinSize: 5, MaxSize: 32,
@@ -36,7 +36,7 @@ func peelBenchSetup(b *testing.B) (*graph.Mutable, int32, []int) {
 		q := []int{best[0], best[len(best)/2], best[len(best)-1]}
 		g0, k, err := ix.FindG0(q)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		peelBenchG0, peelBenchK, peelBenchQ = g0, k, q
 	}

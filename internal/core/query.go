@@ -122,9 +122,8 @@ func ParseAlgo(s string) (Algo, error) {
 	return 0, fmt.Errorf("%w: unknown algo %q (want %s)", ErrBadParam, s, AlgoSpellings())
 }
 
-// DistanceMode selects the metric LCTC's Steiner seed is built under. It
-// replaces the old Options.Gamma = -1 sentinel: the mode is explicit and
-// Gamma is only meaningful under DistTrussPenalty.
+// DistanceMode selects the metric LCTC's Steiner seed is built under. The
+// mode is explicit and Gamma is only meaningful under DistTrussPenalty.
 type DistanceMode uint8
 
 const (
@@ -399,8 +398,7 @@ func (s *QueryStats) TotalWithQueue() time.Duration {
 
 // Result is the answer to one Search: the community itself plus the
 // per-query stats. The Community is embedded by value so the whole result
-// is a single allocation — the unified entry point adds no allocations over
-// the pre-redesign per-algorithm calls.
+// is a single allocation.
 type Result struct {
 	Community
 	// Stats reports how the query executed.

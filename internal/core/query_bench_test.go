@@ -7,44 +7,34 @@ import (
 )
 
 // searchBenchSetup reuses the peel benchmark's graph/index/query (the shared
-// 59k-edge workload of BENCH_pr1.json) but returns a Searcher for the
-// end-to-end query benchmarks.
+// 59k-edge generated workload) but returns a Searcher for the end-to-end
+// query benchmarks.
 var searchBenchS *Searcher
 
-func searchBenchSetup(b *testing.B) (*Searcher, []int) {
-	b.Helper()
-	peelBenchSetup(b)
+func searchBenchSetup(tb testing.TB) (*Searcher, []int) {
+	tb.Helper()
+	peelBenchSetup(tb)
 	if searchBenchS == nil {
 		searchBenchS = NewSearcher(peelBenchIx)
 	}
 	return searchBenchS, peelBenchQ
 }
 
-func BenchmarkLCTC(b *testing.B) {
-	s, q := searchBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := s.LCTC(q, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if c.N() == 0 {
-			b.Fatal("empty community")
-		}
-	}
-}
+func BenchmarkLCTC(b *testing.B) { benchmarkSearch(b, AlgoLCTC) }
 
-func BenchmarkBasic(b *testing.B) {
+func BenchmarkBasic(b *testing.B) { benchmarkSearch(b, AlgoBasic) }
+
+func benchmarkSearch(b *testing.B, algo Algo) {
 	s, q := searchBenchSetup(b)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := s.Basic(q, nil)
+		res, err := s.Search(ctx, Request{Q: q, Algo: algo})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if c.N() == 0 {
+		if res.N() == 0 {
 			b.Fatal("empty community")
 		}
 	}
@@ -55,18 +45,19 @@ func BenchmarkBasic(b *testing.B) {
 // to exercise the pooled-workspace concurrency contract.
 func BenchmarkSearchThroughputParallel(b *testing.B) {
 	s, q := searchBenchSetup(b)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			c, err := s.LCTC(q, nil)
+			res, err := s.Search(ctx, Request{Q: q})
 			// b.Fatal must not run on a RunParallel worker goroutine;
 			// b.Error marks the failure and we bail out of this worker.
 			if err != nil {
 				b.Error(err)
 				return
 			}
-			if c.N() == 0 {
+			if res.N() == 0 {
 				b.Error("empty community")
 				return
 			}

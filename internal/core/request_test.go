@@ -106,49 +106,6 @@ func TestParseAlgo(t *testing.T) {
 	}
 }
 
-// TestLegacyOptionsMapping checks the documented Options→Request decoding:
-// the -1 gamma sentinel becomes DistHop, non-positive FixedK/Eta become the
-// explicit zero defaults, and the wrappers agree with direct Search calls.
-func TestLegacyOptionsMapping(t *testing.T) {
-	cases := []struct {
-		opt  *Options
-		want Request
-	}{
-		{nil, Request{}},
-		{&Options{}, Request{}},
-		{&Options{FixedK: -1}, Request{}},
-		{&Options{FixedK: 3, Eta: 50}, Request{K: 3, Eta: 50}},
-		{&Options{Gamma: -1}, Request{DistanceMode: DistHop}},
-		{&Options{Gamma: 5}, Request{Gamma: 5}},
-		{&Options{Eta: -3}, Request{}},
-		{&Options{Verify: true}, Request{Verify: true}},
-	}
-	for _, tc := range cases {
-		got := tc.opt.request(AlgoLCTC, nil)
-		tc.want.Algo = AlgoLCTC
-		if got.K != tc.want.K || got.Eta != tc.want.Eta || got.Gamma != tc.want.Gamma ||
-			got.DistanceMode != tc.want.DistanceMode || got.Verify != tc.want.Verify {
-			t.Errorf("(%+v).request() = %+v, want %+v", tc.opt, got, tc.want)
-		}
-	}
-
-	// Wrapper answers must equal direct Search answers.
-	s := requestTestSearcher(t)
-	q := []int{0, 1}
-	cw, err := s.LCTC(q, &Options{Gamma: -1, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Search(context.Background(), Request{Q: q, DistanceMode: DistHop, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cw.N() != res.N() || cw.M() != res.M() || cw.K != res.K {
-		t.Fatalf("wrapper (n=%d m=%d k=%d) diverged from Search (n=%d m=%d k=%d)",
-			cw.N(), cw.M(), cw.K, res.N(), res.M(), res.K)
-	}
-}
-
 // TestSearchBatch checks batch semantics: one workspace across the batch,
 // per-item errors that do not abort the rest, and results matching
 // independent Search calls.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -12,58 +10,6 @@ import (
 	"repro/internal/truss"
 	"repro/internal/trussindex"
 )
-
-// Options is the legacy per-call tuning struct, kept for the compatibility
-// wrappers (Basic, BulkDelete, LCTC, TrussOnly). New code should build a
-// Request and call Search; the sentinel encodings below exist only here and
-// are decoded once, in request():
-//
-//	Options.FixedK <= 0      → Request.K = 0 (maximize)
-//	Options.Eta <= 0         → Request.Eta = 0 (default 1000)
-//	Options.Gamma = -1 (< 0) → Request.DistanceMode = DistHop
-//	Options.Gamma = 0        → Request.Gamma = 0 (default 3)
-//	Options.Timeout > 0      → context.WithTimeout around Search
-type Options struct {
-	// FixedK, when > 0, searches for a community of the given trussness
-	// instead of the maximum (the Exp-5 variant). For LCTC it caps the
-	// expansion level at min(FixedK, Steiner-tree trussness).
-	FixedK int32
-	// Eta is LCTC's node-budget threshold η for the local expansion
-	// (default 1000).
-	Eta int
-	// Gamma is the truss-distance penalty γ (default 3). Gamma = -1 selects
-	// plain hop distance (γ=0); 0 means "default".
-	Gamma float64
-	// Verify re-checks the output against the CTC conditions (connected
-	// k-truss containing Q) and fails loudly on violation. Meant for tests.
-	Verify bool
-	// Timeout, when positive, bounds the search; exceeding it returns an
-	// error matching both ErrTimeout and context.DeadlineExceeded (the
-	// experiments report such runs as "Inf").
-	Timeout time.Duration
-}
-
-// request decodes the legacy sentinels into a validated-shape Request.
-func (o *Options) request(algo Algo, q []int) Request {
-	req := Request{Q: q, Algo: algo}
-	if o == nil {
-		return req
-	}
-	if o.FixedK > 0 {
-		req.K = o.FixedK
-	}
-	if o.Eta > 0 {
-		req.Eta = o.Eta
-	}
-	switch {
-	case o.Gamma < 0:
-		req.DistanceMode = DistHop
-	case o.Gamma > 0:
-		req.Gamma = o.Gamma
-	}
-	req.Verify = o.Verify
-	return req
-}
 
 // Searcher runs closest-truss-community searches against a truss index.
 // A Searcher is stateless apart from the shared immutable index: every
@@ -82,59 +28,6 @@ func NewSearcher(ix *trussindex.Index) *Searcher { return &Searcher{ix: ix} }
 
 // Index returns the underlying truss index.
 func (s *Searcher) Index() *trussindex.Index { return s.ix }
-
-// legacy adapts one Options-style call onto Search: decode the sentinels,
-// bound the context when a Timeout was set, and translate a deadline hit
-// back into the historical ErrTimeout (the returned error matches both).
-func (s *Searcher) legacy(algo Algo, q []int, opt *Options) (*Community, error) {
-	ctx := context.Background()
-	if opt != nil && opt.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
-		defer cancel()
-	}
-	res, err := s.Search(ctx, opt.request(algo, q))
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("%w: %w", ErrTimeout, err)
-		}
-		return nil, err
-	}
-	return &res.Community, nil
-}
-
-// TrussOnly is the legacy entry point for AlgoTrussOnly: it returns G0, the
-// maximal connected k-truss containing Q with the largest k, with no
-// free-rider elimination (Algorithm 2 output). One-line wrapper over Search.
-func (s *Searcher) TrussOnly(q []int, opt *Options) (*Community, error) {
-	return s.legacy(AlgoTrussOnly, q, opt)
-}
-
-// Basic is the legacy entry point for AlgoBasic (Algorithm 1): find G0,
-// then repeatedly delete the single vertex furthest from Q, maintaining the
-// k-truss property, and return the intermediate graph with minimum query
-// distance. 2-approximation on the diameter (Theorem 3). One-line wrapper
-// over Search.
-func (s *Searcher) Basic(q []int, opt *Options) (*Community, error) {
-	return s.legacy(AlgoBasic, q, opt)
-}
-
-// BulkDelete is the legacy entry point for AlgoBulkDelete (Algorithm 4):
-// like Basic but deleting the whole set L = {u : dist(u,Q) >= d-1} per
-// iteration, terminating in O(n'/k) iterations (Lemma 6) with a (2+ε)-
-// approximation (Theorem 6). One-line wrapper over Search.
-func (s *Searcher) BulkDelete(q []int, opt *Options) (*Community, error) {
-	return s.legacy(AlgoBulkDelete, q, opt)
-}
-
-// LCTC is the legacy entry point for AlgoLCTC (Algorithm 5): seed a Steiner
-// tree over Q under truss distance, locally expand it to at most η vertices
-// through edges of trussness >= kt, extract the best connected k-truss
-// containing Q from the expansion, and shrink it with the exact-distance
-// bulk rule L' = {u : dist(u,Q) >= d}. One-line wrapper over Search.
-func (s *Searcher) LCTC(q []int, opt *Options) (*Community, error) {
-	return s.legacy(AlgoLCTC, q, opt)
-}
 
 // findG0 resolves the starting graph: the maximal connected k-truss with
 // the largest k (or the fixed k requested). A fixed k below 2 is clamped to
@@ -184,9 +77,13 @@ func (s *Searcher) searchGlobal(req Request, ws *trussindex.Workspace, res *Resu
 	return nil
 }
 
-// searchLCTC runs Algorithm 5 (see LCTC). Fills res in place; the Seed
-// timing covers the Steiner build, Expand the local expansion plus k-truss
-// extraction, Peel the free-rider shrink.
+// searchLCTC runs Algorithm 5: seed a Steiner tree over Q under truss
+// distance, locally expand it to at most η vertices through edges of
+// trussness >= kt, extract the best connected k-truss containing Q from the
+// expansion, and shrink it with the exact-distance bulk rule
+// L' = {u : dist(u,Q) >= d}. Fills res in place; the Seed timing covers the
+// Steiner build, Expand the local expansion plus k-truss extraction, Peel
+// the free-rider shrink.
 func (s *Searcher) searchLCTC(req Request, ws *trussindex.Workspace, res *Result) error {
 	st := &res.Stats
 	t0 := time.Now()

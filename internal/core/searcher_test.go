@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,13 +42,20 @@ func paperSearcher() *Searcher {
 	return NewSearcher(trussindex.Build(paperGraph()))
 }
 
-var verifyOpt = &Options{Verify: true}
+// search runs req through Search and returns its community.
+func search(s *Searcher, req Request) (*Community, error) {
+	res, err := s.Search(context.Background(), req)
+	if err != nil {
+		return nil, err
+	}
+	return &res.Community, nil
+}
 
 func TestBasicPaperExample4(t *testing.T) {
 	// Example 4: Basic on Figure 1(a) with Q={q1,q2,q3} outputs Figure 1(b):
 	// the 4-truss without p1,p2,p3, query distance 3, diameter 3 (optimal).
 	s := paperSearcher()
-	c, err := s.Basic([]int{0, 1, 2}, verifyOpt)
+	c, err := search(s, Request{Q: []int{0, 1, 2}, Algo: AlgoBasic, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +83,7 @@ func TestBulkDeletePaperExample7(t *testing.T) {
 	// shot, which disconnects Q, so it reports the entire 4-truss G0 with
 	// diameter 4.
 	s := paperSearcher()
-	c, err := s.BulkDelete([]int{0, 1, 2}, verifyOpt)
+	c, err := search(s, Request{Q: []int{0, 1, 2}, Algo: AlgoBulkDelete, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +102,7 @@ func TestLCTCPaperQuery(t *testing.T) {
 	// LCTC's L' rule removes only the furthest nodes (p1,p2,p3 at distance
 	// 4), recovering the Figure 1(b) community like Basic does.
 	s := paperSearcher()
-	c, err := s.LCTC([]int{0, 1, 2}, verifyOpt)
+	c, err := search(s, Request{Q: []int{0, 1, 2}, Algo: AlgoLCTC, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +119,7 @@ func TestLCTCPaperQuery(t *testing.T) {
 
 func TestTrussOnlyBaseline(t *testing.T) {
 	s := paperSearcher()
-	c, err := s.TrussOnly([]int{0, 1, 2}, verifyOpt)
+	c, err := search(s, Request{Q: []int{0, 1, 2}, Algo: AlgoTrussOnly, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +133,8 @@ func TestTrussOnlyBaseline(t *testing.T) {
 
 func TestSingleQueryVertex(t *testing.T) {
 	s := paperSearcher()
-	for _, algo := range []func([]int, *Options) (*Community, error){s.Basic, s.BulkDelete, s.LCTC} {
-		c, err := algo([]int{2}, verifyOpt)
+	for _, algo := range []Algo{AlgoBasic, AlgoBulkDelete, AlgoLCTC} {
+		c, err := search(s, Request{Q: []int{2}, Algo: algo, Verify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +155,7 @@ func TestSingleQueryVertex(t *testing.T) {
 func TestLowTrussnessQuery(t *testing.T) {
 	// Q={t, q1}: only a 2-truss connects them (via the pendant edges).
 	s := paperSearcher()
-	c, err := s.Basic([]int{11, 0}, verifyOpt)
+	c, err := search(s, Request{Q: []int{11, 0}, Algo: AlgoBasic, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +170,8 @@ func TestLowTrussnessQuery(t *testing.T) {
 func TestInfeasibleQuery(t *testing.T) {
 	g := graph.FromEdges(5, [][2]int{{0, 1}, {2, 3}})
 	s := NewSearcher(trussindex.Build(g))
-	for _, algo := range []func([]int, *Options) (*Community, error){s.Basic, s.BulkDelete, s.LCTC, s.TrussOnly} {
-		if _, err := algo([]int{0, 2}, nil); err == nil {
+	for _, algo := range []Algo{AlgoBasic, AlgoBulkDelete, AlgoLCTC, AlgoTrussOnly} {
+		if _, err := search(s, Request{Q: []int{0, 2}, Algo: algo}); err == nil {
 			t.Fatal("disconnected query must fail")
 		}
 	}
@@ -173,7 +181,7 @@ func TestFixedKVariant(t *testing.T) {
 	s := paperSearcher()
 	// At fixed k=2 for Q={q1,q2,q3} the 2-truss G0 includes t, allowing a
 	// smaller diameter than the 4-truss answer.
-	c2, err := s.Basic([]int{0, 1, 2}, &Options{FixedK: 2, Verify: true})
+	c2, err := search(s, Request{Q: []int{0, 1, 2}, Algo: AlgoBasic, K: 2, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,33 +192,32 @@ func TestFixedKVariant(t *testing.T) {
 		t.Fatalf("2-truss community diameter = %d, should be <= 3", c2.Diameter())
 	}
 	// Fixed k above the feasible maximum fails.
-	if _, err := s.Basic([]int{0, 1, 2}, &Options{FixedK: 5}); err == nil {
+	if _, err := search(s, Request{Q: []int{0, 1, 2}, Algo: AlgoBasic, K: 5}); err == nil {
 		t.Fatal("fixed k=5 must fail")
 	}
 	// LCTC honors the cap too.
-	c3, err := s.LCTC([]int{0, 1, 2}, &Options{FixedK: 3, Verify: true})
+	c3, err := search(s, Request{Q: []int{0, 1, 2}, K: 3, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c3.K > 3 {
 		t.Fatalf("LCTC fixed-k: k = %d, want <= 3", c3.K)
 	}
-	// FixedK=1 is clamped to 2 through the whole pipeline: the community
-	// must be identical to the FixedK=2 run (same reported K, so the
-	// maintenance cascade enforced support >= 0, not a vacuous negative
-	// bound) and must pass verification as a 2-truss. FixedK <= 0 stays
-	// "unset" per the Options contract and maximizes k instead.
-	c1, err := s.Basic([]int{0, 1, 2}, &Options{FixedK: 1, Verify: true})
+	// K=1 is clamped to 2 through the whole pipeline: the community must be
+	// identical to the K=2 run (same reported K, so the maintenance cascade
+	// enforced support >= 0, not a vacuous negative bound) and must pass
+	// verification as a 2-truss. K = 0 maximizes k instead.
+	c1, err := search(s, Request{Q: []int{0, 1, 2}, Algo: AlgoBasic, K: 1, Verify: true})
 	if err != nil {
-		t.Fatalf("FixedK=1: %v", err)
+		t.Fatalf("K=1: %v", err)
 	}
 	if c1.K != 2 || c1.N() != c2.N() || c1.M() != c2.M() {
-		t.Fatalf("FixedK=1: (k=%d n=%d m=%d), want the FixedK=2 result (k=2 n=%d m=%d)",
+		t.Fatalf("K=1: (k=%d n=%d m=%d), want the K=2 result (k=2 n=%d m=%d)",
 			c1.K, c1.N(), c1.M(), c2.N(), c2.M())
 	}
-	cMax, err := s.Basic([]int{0, 1, 2}, &Options{FixedK: -1, Verify: true})
+	cMax, err := search(s, Request{Q: []int{0, 1, 2}, Algo: AlgoBasic, Verify: true})
 	if err != nil || cMax.K != 4 {
-		t.Fatalf("FixedK=-1 must maximize: k=%v err=%v, want k=4", cMax.K, err)
+		t.Fatalf("K=0 must maximize: k=%v err=%v, want k=4", cMax.K, err)
 	}
 }
 
@@ -229,7 +236,7 @@ func TestTwoApproximationAgainstExact(t *testing.T) {
 			continue
 		}
 		s := NewSearcher(trussindex.Build(g))
-		basic, err := s.Basic(q, verifyOpt)
+		basic, err := search(s, Request{Q: q, Algo: AlgoBasic, Verify: true})
 		if err != nil {
 			t.Fatalf("seed %d: Basic failed where exact succeeded: %v", seed, err)
 		}
@@ -240,7 +247,7 @@ func TestTwoApproximationAgainstExact(t *testing.T) {
 			t.Fatalf("seed %d q=%v: Basic diameter %d > 2·OPT %d",
 				seed, q, basic.Diameter(), 2*opt.Diameter)
 		}
-		bd, err := s.BulkDelete(q, verifyOpt)
+		bd, err := search(s, Request{Q: q, Algo: AlgoBulkDelete, Verify: true})
 		if err != nil {
 			t.Fatalf("seed %d: BD failed: %v", seed, err)
 		}
@@ -268,7 +275,7 @@ func TestQueryDistanceOptimality(t *testing.T) {
 			continue
 		}
 		s := NewSearcher(trussindex.Build(g))
-		basic, err := s.Basic(q, verifyOpt)
+		basic, err := search(s, Request{Q: q, Algo: AlgoBasic, Verify: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -291,8 +298,8 @@ func TestAllAlgorithmsProduceValidCommunities(t *testing.T) {
 		s := NewSearcher(ix)
 		rng := rand.New(rand.NewSource(seed))
 		q := []int{rng.Intn(40), rng.Intn(40), rng.Intn(40)}
-		basic, errB := s.Basic(q, verifyOpt)
-		bd, errD := s.BulkDelete(q, verifyOpt)
+		basic, errB := search(s, Request{Q: q, Algo: AlgoBasic, Verify: true})
+		bd, errD := search(s, Request{Q: q, Algo: AlgoBulkDelete, Verify: true})
 		if (errB == nil) != (errD == nil) {
 			t.Fatalf("seed %d: Basic err=%v, BD err=%v", seed, errB, errD)
 		}
@@ -302,7 +309,7 @@ func TestAllAlgorithmsProduceValidCommunities(t *testing.T) {
 		if basic.K != bd.K {
 			t.Fatalf("seed %d: Basic k=%d != BD k=%d", seed, basic.K, bd.K)
 		}
-		lctc, errL := s.LCTC(q, verifyOpt)
+		lctc, errL := search(s, Request{Q: q, Algo: AlgoLCTC, Verify: true})
 		if errL != nil {
 			t.Fatalf("seed %d: LCTC failed where global methods succeeded: %v", seed, errL)
 		}
@@ -313,7 +320,7 @@ func TestAllAlgorithmsProduceValidCommunities(t *testing.T) {
 			t.Fatalf("seed %d: LCTC community is not an overlay of the index's graph", seed)
 		}
 		// Basic peels at least as much as the Truss baseline keeps.
-		trussOnly, _ := s.TrussOnly(q, nil)
+		trussOnly, _ := search(s, Request{Q: q, Algo: AlgoTrussOnly})
 		if basic.N() > trussOnly.N() {
 			t.Fatalf("seed %d: Basic (%d nodes) larger than G0 (%d)", seed, basic.N(), trussOnly.N())
 		}
@@ -325,8 +332,8 @@ func TestLCTCEtaBudget(t *testing.T) {
 	g := randomGraph(11, 60, 0.12)
 	s := NewSearcher(trussindex.Build(g))
 	q := []int{0, 1}
-	big, errBig := s.LCTC(q, &Options{Eta: 1000, Verify: true})
-	small, errSmall := s.LCTC(q, &Options{Eta: 8, Verify: true})
+	big, errBig := search(s, Request{Q: q, Eta: 1000, Verify: true})
+	small, errSmall := search(s, Request{Q: q, Eta: 8, Verify: true})
 	if errBig != nil || errSmall != nil {
 		t.Skipf("query infeasible on this seed: %v / %v", errBig, errSmall)
 	}
@@ -345,7 +352,7 @@ func TestLCTCEtaBudget(t *testing.T) {
 
 func TestCommunityAccessors(t *testing.T) {
 	s := paperSearcher()
-	c, err := s.Basic([]int{0, 1, 2}, nil)
+	c, err := search(s, Request{Q: []int{0, 1, 2}, Algo: AlgoBasic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,10 +371,8 @@ func TestCommunityAccessors(t *testing.T) {
 	if got := c.Subgraph().M(); got != c.M() {
 		t.Fatalf("subgraph M=%d, community M=%d", got, c.M())
 	}
-	// Diameter is cached.
-	d1 := c.Diameter()
-	if d2 := c.Diameter(); d1 != d2 {
-		t.Fatal("diameter cache broken")
+	if d1, d2 := c.Diameter(), c.Diameter(); d1 != d2 {
+		t.Fatal("diameter differs between calls")
 	}
 }
 
@@ -376,8 +381,8 @@ func TestDensityImprovesOverTruss(t *testing.T) {
 	// dense as the raw G0 (they remove peripheral free riders).
 	s := paperSearcher()
 	q := []int{0, 1, 2}
-	trussOnly, _ := s.TrussOnly(q, nil)
-	basic, _ := s.Basic(q, nil)
+	trussOnly, _ := search(s, Request{Q: q, Algo: AlgoTrussOnly})
+	basic, _ := search(s, Request{Q: q, Algo: AlgoBasic})
 	if basic.Density() < trussOnly.Density() {
 		t.Fatalf("Basic density %.3f < Truss density %.3f", basic.Density(), trussOnly.Density())
 	}

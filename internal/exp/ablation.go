@@ -26,8 +26,8 @@ func RunAblationSteiner(nw *gen.Network, cfg Config) *Figure {
 		if err != nil {
 			continue
 		}
-		cTruss, err1 := s.LCTC(q, &core.Options{Gamma: 3})
-		cHop, err2 := s.LCTC(q, &core.Options{Gamma: -1}) // -1 selects hop distance
+		cTruss, err1 := search(s, core.Request{Q: q, Gamma: 3}, 0)
+		cHop, err2 := search(s, core.Request{Q: q, DistanceMode: core.DistHop}, 0)
 		t1, err3 := steiner.Build(ix, q, 3)
 		t2, err4 := steiner.Build(ix, q, 0)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
@@ -69,12 +69,12 @@ func RunAblationBulkRule(nw *gen.Network, cfg Config) *Figure {
 		var bd, basic *core.Community
 		tBD, err1 := timed(func() error {
 			var e error
-			bd, e = s.BulkDelete(q, nil)
+			bd, e = search(s, core.Request{Q: q, Algo: core.AlgoBulkDelete}, 0)
 			return e
 		})
 		tBasic, err2 := timed(func() error {
 			var e error
-			basic, e = s.Basic(q, &core.Options{Timeout: cfg.basicTimeout()})
+			basic, e = search(s, core.Request{Q: q, Algo: core.AlgoBasic}, cfg.basicTimeout())
 			return e
 		})
 		if err1 != nil || err2 != nil {

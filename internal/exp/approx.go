@@ -32,15 +32,15 @@ func RunDiamApprox(nw *gen.Network, cfg Config) []*Figure {
 			if err != nil {
 				continue
 			}
-			basic, err := s.Basic(q, &core.Options{Timeout: cfg.basicTimeout()})
+			basic, err := search(s, core.Request{Q: q, Algo: core.AlgoBasic}, cfg.basicTimeout())
 			if err != nil {
 				continue
 			}
-			bd, err := s.BulkDelete(q, nil)
+			bd, err := search(s, core.Request{Q: q, Algo: core.AlgoBulkDelete}, 0)
 			if err != nil {
 				continue
 			}
-			lctc, err := s.LCTC(q, nil)
+			lctc, err := search(s, core.Request{Q: q}, 0)
 			if err != nil {
 				continue
 			}
@@ -93,7 +93,7 @@ func RunVaryK(nw *gen.Network, cfg Config) *Figure {
 		if err != nil {
 			continue
 		}
-		if _, err := s.LCTC(q, nil); err != nil {
+		if _, err := search(s, core.Request{Q: q}, 0); err != nil {
 			continue
 		}
 		queries = append(queries, q)
@@ -102,7 +102,7 @@ func RunVaryK(nw *gen.Network, cfg Config) *Figure {
 	for _, k := range ks {
 		var ds, lbs []float64
 		for _, q := range queries {
-			c, err := s.LCTC(q, &core.Options{FixedK: k})
+			c, err := search(s, core.Request{Q: q, K: k}, 0)
 			if err != nil {
 				continue
 			}

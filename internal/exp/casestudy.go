@@ -27,11 +27,11 @@ func CaseStudy(seed uint64) (*CaseStudyResult, error) {
 	ix := trussindex.Build(cn.G)
 	s := core.NewSearcher(ix)
 	q := cn.QueryAuthors
-	g0, err := s.TrussOnly(q, nil)
+	g0, err := search(s, core.Request{Q: q, Algo: core.AlgoTrussOnly}, 0)
 	if err != nil {
 		return nil, fmt.Errorf("exp: case study G0: %w", err)
 	}
-	lctc, err := s.LCTC(q, nil)
+	lctc, err := search(s, core.Request{Q: q}, 0)
 	if err != nil {
 		return nil, fmt.Errorf("exp: case study LCTC: %w", err)
 	}

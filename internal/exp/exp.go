@@ -5,11 +5,12 @@
 // approximation studies of Figures 13-14, and the LCTC parameter sweeps of
 // Figures 15-16, plus ablations for the design decisions discussed in §7.1.
 //
-// Every driver returns renderable Figure/Table values; cmd/ctcbench and the
-// root bench suite print them.
+// Every driver returns renderable Figure/Table values; cmd/ctcbench prints
+// them.
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -191,6 +192,23 @@ func IndexFor(nw *gen.Network) *trussindex.Index {
 // SearcherFor returns a Searcher over the cached index of a network.
 func SearcherFor(nw *gen.Network) *core.Searcher {
 	return core.NewSearcher(IndexFor(nw))
+}
+
+// search answers req on s. A positive budget bounds the search with a
+// context deadline; overrunning it returns an error matching
+// context.DeadlineExceeded.
+func search(s *core.Searcher, req core.Request, budget time.Duration) (*core.Community, error) {
+	ctx := context.Background()
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
+	}
+	res, err := s.Search(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return &res.Community, nil
 }
 
 // timed runs fn and returns its duration in seconds.

@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -30,19 +32,19 @@ var exp1Algos = []string{"Basic", "BD", "LCTC"}
 
 // runOneQuery measures the three algorithms on a single query set.
 func runOneQuery(s *core.Searcher, q []int, cfg Config, acc *pointAccumulator) bool {
-	truss, err := s.TrussOnly(q, nil)
+	truss, err := search(s, core.Request{Q: q, Algo: core.AlgoTrussOnly}, 0)
 	if err != nil {
 		return false // infeasible query; resample
 	}
 	g0N := truss.N()
-	run := func(name string, fn func([]int, *core.Options) (*core.Community, error), opt *core.Options) {
+	run := func(name string, algo core.Algo, budget time.Duration) {
 		var c *core.Community
 		secs, err := timed(func() error {
 			var e error
-			c, e = fn(q, opt)
+			c, e = search(s, core.Request{Q: q, Algo: algo}, budget)
 			return e
 		})
-		if errors.Is(err, core.ErrTimeout) {
+		if errors.Is(err, context.DeadlineExceeded) {
 			acc.timeouts[name]++
 			acc.times[name] = append(acc.times[name], Inf)
 			return
@@ -54,9 +56,9 @@ func runOneQuery(s *core.Searcher, q []int, cfg Config, acc *pointAccumulator) b
 		acc.percents[name] = append(acc.percents[name], quality.KeptPercent(c.N(), g0N))
 		acc.densities[name] = append(acc.densities[name], c.Density())
 	}
-	run("Basic", s.Basic, &core.Options{Timeout: cfg.basicTimeout()})
-	run("BD", s.BulkDelete, nil)
-	run("LCTC", s.LCTC, nil)
+	run("Basic", core.AlgoBasic, cfg.basicTimeout())
+	run("BD", core.AlgoBulkDelete, 0)
+	run("LCTC", core.AlgoLCTC, 0)
 	return true
 }
 

@@ -73,11 +73,11 @@ func RunGroundTruth(cfg Config, networks []*gen.Network) []*Figure {
 				return baseline.MDC(g, gq.Q, &baseline.MDCOptions{DistBound: 2, SizeBound: 10})
 			})
 			runBaseline("QDC", func() (*baseline.Result, error) { return baseline.QDC(g, gq.Q, nil) })
-			runCore := func(name string, run func([]int, *core.Options) (*core.Community, error)) {
+			runCore := func(name string, algo core.Algo) {
 				var c *core.Community
 				secs, err := timed(func() error {
 					var e error
-					c, e = run(gq.Q, nil)
+					c, e = search(s, core.Request{Q: gq.Q, Algo: algo}, 0)
 					return e
 				})
 				if err != nil {
@@ -89,8 +89,8 @@ func RunGroundTruth(cfg Config, networks []*gen.Network) []*Figure {
 				a.vs = append(a.vs, float64(c.N()))
 				a.es = append(a.es, float64(c.M()))
 			}
-			runCore("Truss", s.TrussOnly)
-			runCore("LCTC", s.LCTC)
+			runCore("Truss", core.AlgoTrussOnly)
+			runCore("LCTC", core.AlgoLCTC)
 		}
 		for _, m := range gtMethods {
 			f1[m] = append(f1[m], quality.Mean(acc[m].f1s))

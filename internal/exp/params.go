@@ -9,10 +9,11 @@ import (
 )
 
 // lctcParamSweep measures LCTC's community size, F1 score and query time
-// over a sweep of one option dimension, using ground-truth queries
-// (Figures 15 and 16 share this scaffolding).
+// over a sweep of one request dimension, using ground-truth queries
+// (Figures 15 and 16 share this scaffolding). mkReq sets the swept field of
+// an LCTC request for the i-th x value.
 func lctcParamSweep(nw *gen.Network, id, xlabel string, xs []string,
-	mkOpt func(i int) *core.Options, cfg Config) []*Figure {
+	mkReq func(i int, q []int) core.Request, cfg Config) []*Figure {
 	s := SearcherFor(nw)
 	rng := gen.NewRNG(cfg.seed() ^ 0x9A12)
 	queries := gen.QueriesFromGroundTruth(rng, nw.GroundTruth(), cfg.queries(), 2, 8)
@@ -20,13 +21,12 @@ func lctcParamSweep(nw *gen.Network, id, xlabel string, xs []string,
 	f1s := make([]float64, len(xs))
 	times := make([]float64, len(xs))
 	for i := range xs {
-		opt := mkOpt(i)
 		var vs, fs, ts []float64
 		for _, gq := range queries {
 			var c *core.Community
 			secs, err := timed(func() error {
 				var e error
-				c, e = s.LCTC(gq.Q, opt)
+				c, e = search(s, mkReq(i, gq.Q), 0)
 				return e
 			})
 			if err != nil {
@@ -60,7 +60,7 @@ func RunVaryEta(nw *gen.Network, cfg Config) []*Figure {
 		xs[i] = fmt.Sprintf("%d", e)
 	}
 	return lctcParamSweep(nw, "Fig15", "eta", xs,
-		func(i int) *core.Options { return &core.Options{Eta: etas[i]} }, cfg)
+		func(i int, q []int) core.Request { return core.Request{Q: q, Eta: etas[i]} }, cfg)
 }
 
 // RunVaryGamma reproduces Figure 16 (DBLP): LCTC under γ ∈ {1,3,5,7,9}.
@@ -71,5 +71,5 @@ func RunVaryGamma(nw *gen.Network, cfg Config) []*Figure {
 		xs[i] = fmt.Sprintf("%g", g)
 	}
 	return lctcParamSweep(nw, "Fig16", "gamma", xs,
-		func(i int) *core.Options { return &core.Options{Gamma: gammas[i]} }, cfg)
+		func(i int, q []int) core.Request { return core.Request{Q: q, Gamma: gammas[i]} }, cfg)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"testing"
@@ -49,28 +50,31 @@ func checkSnapshotAgainstScratch(t *testing.T, snap *Snapshot, queries [][]int) 
 		if gotErr == nil && !sameVertexSet(gotG0.Vertices(), wantG0.Vertices()) {
 			t.Fatalf("epoch %d: FindG0(%v) vertex sets differ", snap.Epoch(), q)
 		}
-		for _, algo := range []struct {
-			name string
-			run  func(*core.Searcher) (*core.Community, error)
-		}{
-			{"Basic", func(s *core.Searcher) (*core.Community, error) { return s.Basic(q, nil) }},
-			{"LCTC", func(s *core.Searcher) (*core.Community, error) { return s.LCTC(q, nil) }},
-		} {
-			got, gotErr := algo.run(liveS)
-			want, wantErr := algo.run(refS)
+		for _, algo := range []core.Algo{core.AlgoBasic, core.AlgoLCTC} {
+			got, gotErr := search(liveS, algo, q)
+			want, wantErr := search(refS, algo, q)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("epoch %d: %s(%v) err=%v, from-scratch err=%v",
-					snap.Epoch(), algo.name, q, gotErr, wantErr)
+					snap.Epoch(), algo, q, gotErr, wantErr)
 			}
 			if gotErr != nil {
 				continue
 			}
 			if got.K != want.K || !sameVertexSet(got.Vertices(), want.Vertices()) {
 				t.Fatalf("epoch %d: %s(%v) = k=%d n=%d, from-scratch k=%d n=%d",
-					snap.Epoch(), algo.name, q, got.K, got.N(), want.K, want.N())
+					snap.Epoch(), algo, q, got.K, got.N(), want.K, want.N())
 			}
 		}
 	}
+}
+
+// search runs one algo query for q directly on s, outside the manager.
+func search(s *core.Searcher, algo core.Algo, q []int) (*core.Community, error) {
+	res, err := s.Search(context.Background(), core.Request{Q: q, Algo: algo})
+	if err != nil {
+		return nil, err
+	}
+	return &res.Community, nil
 }
 
 func sameVertexSet(a, b []int) bool {

@@ -55,9 +55,9 @@ func TestConcurrentQueriersOneUpdater(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					_, err = s.Basic(q, nil)
+					_, err = search(s, core.AlgoBasic, q)
 				case 1:
-					_, err = s.LCTC(q, nil)
+					_, err = search(s, core.AlgoLCTC, q)
 				default:
 					_, _, err = snap.Index().FindG0(q)
 				}

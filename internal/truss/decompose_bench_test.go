@@ -8,9 +8,9 @@ import (
 	"repro/internal/graph"
 )
 
-// benchGraph50k is the ~50k-edge planted-community network used as the
-// shared perf yardstick across PRs (see BENCH_pr1.json for the recorded
-// trajectory). Kept deterministic by the fixed seed.
+// benchGraph50k is the ~50k-edge planted-community network shared by the
+// decomposition, index and query benchmarks. Kept deterministic by the
+// fixed seed.
 var benchGraph50k *graph.Graph
 
 func bench50k(b *testing.B) *graph.Graph {
@@ -38,9 +38,9 @@ func BenchmarkDecompose(b *testing.B) {
 	}
 }
 
-// BenchmarkDecomposeNaive measures the retained seed-equivalent reference
-// (map supports + lazy bucket queue) on the same graph, giving the
-// before/after trajectory recorded in BENCH_pr1.json.
+// BenchmarkDecomposeNaive measures the map-based reference peel (map
+// supports + lazy bucket queue) on the same graph, the baseline the array
+// bucket queue is compared against.
 func BenchmarkDecomposeNaive(b *testing.B) {
 	g := bench50k(b)
 	b.ReportAllocs()
@@ -53,9 +53,9 @@ func BenchmarkDecomposeNaive(b *testing.B) {
 	}
 }
 
-// benchDBLP is the dblp analogue used for the cold-build comparison in
-// BENCH_pr4.json — the registry's own network, so a retune of the dblp
-// parameters automatically retunes this benchmark.
+// benchDBLP is the dblp analogue used for the cold-build comparison — the
+// registry's own network, so a retune of the dblp parameters automatically
+// retunes this benchmark.
 func benchDBLP(b *testing.B) *graph.Graph {
 	b.Helper()
 	nw, err := gen.NetworkByName("dblp")
@@ -70,7 +70,7 @@ func benchDBLP(b *testing.B) *graph.Graph {
 // analogue. The w1 points isolate the algorithmic overhead of the
 // level-synchronous formulation versus the serial bucket queue; the scaling
 // across w comes from the frontier sharding (run with GOMAXPROCS >= the
-// worker count to observe it — the sweep is recorded in BENCH_pr4.json).
+// worker count to observe it).
 func BenchmarkDecomposeParallel(b *testing.B) {
 	for _, bg := range []struct {
 		name string
@@ -94,7 +94,7 @@ func BenchmarkDecomposeParallel(b *testing.B) {
 }
 
 // BenchmarkDecomposeSerialDBLP is the serial baseline on the same dblp-scale
-// graph, for the cold-build speedup ratio recorded in BENCH_pr4.json.
+// graph, the denominator of the cold-build speedup ratio.
 func BenchmarkDecomposeSerialDBLP(b *testing.B) {
 	g := benchDBLP(b)
 	b.Logf("graph: n=%d m=%d", g.N(), g.M())

@@ -7,12 +7,11 @@ import (
 )
 
 // Incremental maintains the exact truss decomposition of a live graph under
-// streaming edge updates, densely. It is the serving-path counterpart of the
-// map-based Dynamic: the live graph is an edge-alive overlay of an immutable
-// base graph, labels live in a flat []int32 indexed by base edge IDs, and
-// both update cascades run over reusable queues and bitsets, so the steady
-// state does no hashing and allocates only when a cascade outgrows its
-// scratch.
+// streaming edge updates, densely: the live graph is an edge-alive overlay
+// of an immutable base graph, labels live in a flat []int32 indexed by base
+// edge IDs, and both update cascades run over reusable queues and bitsets,
+// so the steady state does no hashing and allocates only when a cascade
+// outgrows its scratch.
 //
 // The algorithms are the incremental ones of Huang et al. (SIGMOD 2014),
 // resting on the local characterization of trussness: the labels τ are the

@@ -11,10 +11,8 @@ import (
 
 // ParallelThreshold is the edge count below which DecomposeParallel falls
 // back to the serial bucket-queue peel: under it the per-round goroutine
-// fan-out and barriers cost more than the parallelism saves. It is a
-// variable so the ctcbench -decomp flag (and threshold-sweep benchmarks) can
-// retune it; set it before any decomposition runs — it is not synchronized.
-var ParallelThreshold = 1 << 14
+// fan-out and barriers cost more than the parallelism saves.
+const ParallelThreshold = 1 << 14
 
 // frontierBlock is the work-stealing granule of a peel round: workers claim
 // blocks of this many frontier edges at a time. Big enough that the atomic

@@ -79,11 +79,11 @@ func BuildFromDecomposition(g *graph.Graph, d *truss.Decomposition) *Index {
 		ix.edgeTruss = d.Truss
 	} else {
 		// d describes a structurally identical graph with its own edge-ID
-		// space (e.g. a Dynamic snapshot). Both graphs assign edge IDs in
-		// ascending (min, max) key order, so when the edge sets match the ID
-		// spaces coincide and one dense pass suffices; per-edge key lookups
-		// are only the fallback for a foreign decomposition whose edge set
-		// diverged.
+		// space (e.g. the same live graph frozen twice). Both graphs assign
+		// edge IDs in ascending (min, max) key order, so when the edge sets
+		// match the ID spaces coincide and one dense pass suffices; per-edge
+		// key lookups are only the fallback for a foreign decomposition whose
+		// edge set diverged.
 		ix.edgeTruss = make([]int32, g.M())
 		identical := d.G.M() == g.M()
 		if identical {

@@ -9,8 +9,7 @@ import (
 )
 
 // The query benchmarks run on the same generated 59k-edge workload as the
-// decomposition/peeling benchmarks (BENCH_pr1.json), so the BENCH_pr*.json
-// trajectory stays comparable across PRs.
+// decomposition/peeling benchmarks, so their numbers compare directly.
 var (
 	queryBenchIx *Index
 	queryBenchG  *graph.Graph

@@ -80,7 +80,7 @@ type Options struct {
 	SegmentBytes int64
 	// NoSync makes Sync a no-op: appends stay in the page cache at the
 	// kernel's mercy. Crash durability is forfeited — this exists to
-	// measure fsync cost (ctcbench -wal) and for tests, not for serving.
+	// measure fsync cost, not for serving.
 	NoSync bool
 }
 
