@@ -40,36 +40,106 @@ func goldenQueries(tb testing.TB, name string) (*graph.Graph, *Searcher, [][]int
 	return g, NewSearcher(trussindex.Build(g)), qs
 }
 
-// goldenLCTCLines answers the golden query set and renders one line per
-// query: the answer's shape, the counters that describe how it was reached,
-// and an FNV-1a hash of its sorted vertex list.
+// goldenLine answers q with req on s and renders one line: head, then the
+// answer's shape, the counters that describe how it was reached, and an
+// FNV-1a hash of its sorted vertex list.
+func goldenLine(t *testing.T, g *graph.Graph, s *Searcher, head string, req Request) string {
+	t.Helper()
+	head = fmt.Sprintf("%s %s", head, strings.Trim(strings.ReplaceAll(fmt.Sprint(req.Q), " ", ","), "[]"))
+	res, err := s.Search(context.Background(), req)
+	if err != nil {
+		return fmt.Sprintf("%s err %v", head, err)
+	}
+	if res.Subgraph().Base() != g {
+		t.Errorf("%s: community is not an overlay of the index's graph", head)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range res.Vertices() {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	st := res.Stats
+	return fmt.Sprintf("%s k=%d n=%d m=%d seed_edges=%d peel_rounds=%d edges_peeled=%d vhash=%016x",
+		head, res.K, res.N(), res.M(), st.SeedEdges, st.PeelRounds, st.EdgesPeeled, h.Sum64())
+}
+
+// goldenLCTCLines answers the golden query sets with LCTC, one goldenLine
+// per query.
 func goldenLCTCLines(t *testing.T) []string {
 	t.Helper()
 	var lines []string
 	for _, name := range []string{"facebook", "dblp"} {
 		g, s, qs := goldenQueries(t, name)
 		for _, q := range qs {
-			head := fmt.Sprintf("%s %s", name, strings.Trim(strings.ReplaceAll(fmt.Sprint(q), " ", ","), "[]"))
-			res, err := s.Search(context.Background(), Request{Q: q})
-			if err != nil {
-				lines = append(lines, fmt.Sprintf("%s err %v", head, err))
-				continue
-			}
-			if res.Subgraph().Base() != g {
-				t.Errorf("%s: community is not an overlay of the index's graph", head)
-			}
-			h := fnv.New64a()
-			var buf [8]byte
-			for _, v := range res.Vertices() {
-				binary.LittleEndian.PutUint64(buf[:], uint64(v))
-				h.Write(buf[:])
-			}
-			st := res.Stats
-			lines = append(lines, fmt.Sprintf("%s k=%d n=%d m=%d seed_edges=%d peel_rounds=%d edges_peeled=%d vhash=%016x",
-				head, res.K, res.N(), res.M(), st.SeedEdges, st.PeelRounds, st.EdgesPeeled, h.Sum64()))
+			lines = append(lines, goldenLine(t, g, s, name, Request{Q: q}))
 		}
 	}
 	return lines
+}
+
+// goldenGlobal lists, per global algorithm, how many leading queries of each
+// golden query set (facebook, dblp) testdata/global_golden.txt covers. Basic
+// stops at ten facebook queries: a full pass takes tens of seconds.
+var goldenGlobal = []struct {
+	algo  Algo
+	count [2]int
+}{
+	{AlgoTrussOnly, [2]int{100, 100}},
+	{AlgoBulkDelete, [2]int{25, 25}},
+	{AlgoBasic, [2]int{10, 0}},
+}
+
+// goldenGlobalLines answers goldenGlobal's queries, one goldenLine per query
+// headed by the algorithm's name.
+func goldenGlobalLines(t *testing.T) []string {
+	t.Helper()
+	var lines []string
+	for i, name := range []string{"facebook", "dblp"} {
+		g, s, qs := goldenQueries(t, name)
+		for _, c := range goldenGlobal {
+			for _, q := range qs[:c.count[i]] {
+				lines = append(lines, goldenLine(t, g, s, c.algo.String()+" "+name, Request{Q: q, Algo: c.algo}))
+			}
+		}
+	}
+	return lines
+}
+
+// readGoldenLines reads a golden table, one line per entry.
+func readGoldenLines(t *testing.T, path string) []string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var lines []string
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		lines = append(lines, sc.Text())
+	}
+	return lines
+}
+
+// TestGlobalGolden pins TrussOnly, BulkDelete and Basic to
+// testdata/global_golden.txt. Every field must match, the work counters
+// included: the facebook queries peel graphs small enough for bit rows and
+// the dblp ones graphs that need the merge kernels, so a change of peel
+// substrate or kernel that alters a single decision shows up here.
+func TestGlobalGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the facebook and dblp networks")
+	}
+	want := readGoldenLines(t, "testdata/global_golden.txt")
+	got := goldenGlobalLines(t)
+	if len(got) != len(want) {
+		t.Fatalf("golden table has %d lines, computed %d", len(want), len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d:\n got  %s\n want %s", i+1, got[i], want[i])
+		}
+	}
 }
 
 // TestLCTCGolden pins LCTC's answers to testdata/lctc_golden.txt, recorded
@@ -83,15 +153,7 @@ func TestLCTCGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the facebook and dblp networks")
 	}
-	f, err := os.Open("testdata/lctc_golden.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []string
-	for sc := bufio.NewScanner(f); sc.Scan(); {
-		want = append(want, sc.Text())
-	}
+	want := readGoldenLines(t, "testdata/lctc_golden.txt")
 	got := goldenLCTCLines(t)
 	if len(got) != len(want) || len(want) != 200 {
 		t.Fatalf("golden table has %d lines, computed %d, want 200 each", len(want), len(got))
