@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/serve"
@@ -282,7 +284,7 @@ func TestKillNineRecovery(t *testing.T) {
 		b.AddEdge(u, v)
 	}
 	oracleG := b.Build()
-	oracleIx := trussindex.BuildFromDecomposition(oracleG, truss.Decompose(oracleG))
+	oracle := core.NewSearcher(trussindex.BuildFromDecomposition(oracleG, truss.Decompose(oracleG)))
 
 	addr := freeAddr(t)
 	start := func() *exec.Cmd {
@@ -361,7 +363,7 @@ func TestKillNineRecovery(t *testing.T) {
 	// from-scratch decomposition of the expected graph.
 	queries := [][]int{{cliqueBase, cliqueBase + 5}, {0, 1}, {delU, delV}}
 	for _, q := range queries {
-		wantG0, wantK, wantErr := oracleIx.FindG0(q)
+		wantG0, wantErr := oracle.Search(context.Background(), core.Request{Q: q, Algo: core.AlgoTrussOnly})
 		var qr queryResponse
 		code := postJSON(t, c, "http://"+addr+"/query", queryRequest{Q: q, Algo: "truss"}, &qr)
 		if wantErr != nil {
@@ -373,8 +375,8 @@ func TestKillNineRecovery(t *testing.T) {
 		if code != 200 {
 			t.Fatalf("query %v: status %d", q, code)
 		}
-		if qr.K != wantK {
-			t.Fatalf("query %v: k=%d, oracle %d", q, qr.K, wantK)
+		if qr.K != wantG0.K {
+			t.Fatalf("query %v: k=%d, oracle %d", q, qr.K, wantG0.K)
 		}
 		want := append([]int(nil), wantG0.Vertices()...)
 		got := append([]int(nil), qr.Vertices...)

@@ -65,6 +65,15 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 		{"oversized update body", func(w http.ResponseWriter) {
 			newServer(nil).ServeHTTP(w, httptest.NewRequest("POST", "/update", oversizedBody()))
 		}, http.StatusRequestEntityTooLarge, "too_large", ""},
+		// A body well under the byte cap whose query set is far over core's
+		// |Q| cap: rejected by validation before admission.
+		{"too many query vertices", func(w http.ResponseWriter) {
+			g, _ := slowChainGraph()
+			mgr := serve.NewManager(g, serve.Options{})
+			defer mgr.Close()
+			body, _ := json.Marshal(queryRequest{Q: make([]int, 1<<16)})
+			newServer(mgr).ServeHTTP(w, httptest.NewRequest("POST", "/query", bytes.NewReader(body)))
+		}, http.StatusBadRequest, "bad_request", ""},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()

@@ -30,9 +30,10 @@ func BenchmarkSearchDispatch(b *testing.B) {
 
 // TestSearchDispatchZeroAllocOverhead holds one search on
 // searchBenchSetup's workload to an absolute allocation budget. Everything
-// LCTC builds after the seed lives in the pooled Expansion and the peel
-// hands back a pooled shell, so what is left is the Steiner tree and the
-// returned community. testing.AllocsPerRun measures at GOMAXPROCS 1, which
+// a search builds after its seed — LCTC's expansion, the other algorithms'
+// G0 — lives in the pooled Expansion and the peel works in place, so what is
+// left is LCTC's Steiner tree and the returned community. The budgets are
+// the measured counts. testing.AllocsPerRun measures at GOMAXPROCS 1, which
 // keeps the per-P Expansion pool warm from one iteration to the next.
 func TestSearchDispatchZeroAllocOverhead(t *testing.T) {
 	if testing.Short() {
@@ -49,7 +50,8 @@ func TestSearchDispatchZeroAllocOverhead(t *testing.T) {
 		budget float64
 	}{
 		{AlgoLCTC, 50, 24},
-		{AlgoBasic, 10, 11},
+		{AlgoBasic, 10, 7},
+		{AlgoTrussOnly, 50, 7},
 	} {
 		allocs := testing.AllocsPerRun(tc.runs, func() {
 			if _, err := s.Search(ctx, Request{Q: q, Algo: tc.algo}); err != nil {

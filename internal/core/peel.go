@@ -107,19 +107,18 @@ func (st *peelState) dropLive(v int) {
 	st.live = st.live[:last]
 }
 
-// greedyPeel runs the shared peeling framework on g0 (a connected k-truss
-// containing q) and returns the intermediate graph with the smallest graph
-// query distance; the answer is the component of q in it. g0 is not
-// modified. All scratch comes from ws and from ps, the scratch of g0's base
-// graph, and so does the returned overlay: it is a shell of ps, valid until
-// ps hands that shell out again, and the steady state allocates nothing. The
-// workspace cancel hook is polled once per peel round (each round is a
-// handful of BFS passes over the live subgraph), so cancellation returns
-// promptly without per-edge checks; rounds and removed edges are tallied
-// into qs.
-func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, ps *trussindex.PeelScratch, ws *trussindex.Workspace, qs *QueryStats) (*graph.Mutable, error) {
-	work := ps.CloneOf(g0)
-	edgeStamp, edgeVal, supBuf := ps.EdgeScratch()
+// greedyPeel runs the shared peeling framework on work, a connected k-truss
+// containing q that is an overlay of the workspace's Expansion graph, and
+// returns the intermediate graph with the smallest graph query distance; the
+// answer is the component of q in it. The peel deletes from work itself and
+// hands it back restored to that graph, and all scratch comes from ws and its
+// Expansion, so the steady state allocates nothing. The workspace cancel hook
+// is polled once per peel round (each round is a handful of BFS passes over
+// the live subgraph), so cancellation returns promptly without per-edge
+// checks; rounds and removed edges are tallied into qs.
+func greedyPeel(work *graph.Mutable, k int32, q []int, rule peelRule, ws *trussindex.Workspace, qs *QueryStats) (*graph.Mutable, error) {
+	x := ws.Expansion()
+	supBuf, sumDist := x.PeelBuffers()
 	sup := graph.MutableEdgeSupportsInto(work, supBuf)
 
 	// Query membership marks (StampB) back the peel rules' tie preferences.
@@ -128,8 +127,8 @@ func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, ps *trussind
 		ws.StampB.Mark[v] = qEpoch
 	}
 
-	st := &peelState{ws: ws, maxDist: ws.ValB, sumDist: ps.SumDist()}
-	// The live list starts as the component of q[0] — all of g0, which is
+	st := &peelState{ws: ws, maxDist: ws.ValB, sumDist: sumDist}
+	// The live list starts as the component of q[0] — all of work, which is
 	// connected by construction — plus any isolated query vertices.
 	reach := graph.BFSMarked(work, q[0], ws.ValA, ws.StampA, ws.QueueA)
 	ws.QueueA = reach
@@ -145,19 +144,19 @@ func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, ps *trussind
 		ws.ValC[vq] = int32(i)
 	}
 
-	// edgeStamp[e] = iteration during whose transition the edge was removed;
-	// unmarked edges were never removed. e ∈ G_l iff unmarked or stamp >= l.
-	// Edge-level stamping is essential: the truss-maintenance cascade can
-	// delete an edge while both endpoints survive, so intermediate graphs
-	// are not induced subgraphs.
-	edgeEpoch := edgeStamp.Next()
-
-	qdHist := ws.Hist[:0]
+	// removed logs every deleted edge in deletion order, and cut[l] is its
+	// length when round l measured G_l, so G_l is what is left at the end
+	// plus removed[cut[l]:]. The log is per edge, not per vertex: the
+	// truss-maintenance cascade can delete an edge while both endpoints
+	// survive, so intermediate graphs are not induced subgraphs.
+	qdHist, cut, removed := x.Hist[:0], x.Cut[:0], x.Removed[:0]
+	defer func() {
+		x.Hist, x.Cut, x.Removed = qdHist, cut, removed
+		ws.QueueB = st.live[:0]
+	}()
 	d := infDist // running minimum for the bulk rules
-	for iter := int32(0); ; iter++ {
+	for {
 		if err := ws.Canceled(); err != nil {
-			ws.Hist = qdHist
-			ws.QueueB = st.live[:0]
 			return nil, err
 		}
 		qs.PeelRounds++
@@ -169,6 +168,7 @@ func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, ps *trussind
 			break
 		}
 		qdHist = append(qdHist, st.graphD)
+		cut = append(cut, int32(len(removed)))
 		if st.graphD < d {
 			d = st.graphD
 		}
@@ -194,36 +194,28 @@ func greedyPeel(g0 *graph.Mutable, k int32, q []int, rule peelRule, ps *trussind
 			break // defensive: no progress
 		}
 		qs.EdgesPeeled += len(removedEdges)
-		for _, e := range removedEdges {
-			edgeStamp.Mark[e] = edgeEpoch
-			edgeVal[e] = iter
-		}
+		removed = append(removed, removedEdges...)
 		for _, v := range removedVerts {
 			st.dropLive(v)
 		}
 	}
-	ws.Hist = qdHist
-	ws.QueueB = st.live[:0]
 	if len(qdHist) == 0 {
 		return nil, errors.New("core: no feasible intermediate graph")
 	}
-	best := int32(0)
+	best := 0
 	for l, qd := range qdHist {
 		if qd < qdHist[best] {
-			best = int32(l)
+			best = l
 		}
 	}
-	// Reconstruct G_best from the deletion timeline.
-	sub := ps.Shell()
-	g0.ForEachLiveEdge(func(e int32, _, _ int) {
-		if edgeStamp.Mark[e] != edgeEpoch || edgeVal[e] >= best {
-			sub.AddEdgeByID(e)
-		}
-	})
+	// Restore G_best by reviving what was deleted from round best on.
+	for _, e := range removed[cut[best]:] {
+		work.AddEdgeByID(e)
+	}
 	for _, v := range q {
-		sub.EnsureVertex(v)
+		work.EnsureVertex(v)
 	}
-	return sub, nil
+	return work, nil
 }
 
 // selectVictims applies the rule to choose this iteration's deletions,

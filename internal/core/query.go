@@ -212,9 +212,9 @@ var (
 	ErrEmptyQuery = errors.New("core: empty query vertex set")
 	// ErrVertexOutOfRange: a query vertex is negative or >= the graph's N().
 	ErrVertexOutOfRange = errors.New("core: query vertex out of range")
-	// ErrBadParam: a tuning parameter is out of its domain (negative K, Eta
-	// or Gamma, NaN Gamma, Gamma combined with DistHop, unknown Algo or
-	// DistanceMode).
+	// ErrBadParam: the query names more than maxQueryVertices vertices, or a
+	// tuning parameter is out of its domain (negative K, Eta or Gamma, NaN
+	// Gamma, Gamma combined with DistHop, unknown Algo or DistanceMode).
 	ErrBadParam = errors.New("core: bad request parameter")
 )
 
@@ -261,12 +261,20 @@ type Request struct {
 	Tenant string
 }
 
+// maxQueryVertices caps |Q|. The Steiner seed keeps two |Q|×|Q| distance
+// matrices (12·|Q|² bytes), so the cap bounds them at 12 MB; community
+// queries name a handful of vertices.
+const maxQueryVertices = 1024
+
 // Validate checks the request against a graph with n vertices, returning a
 // typed error (ErrEmptyQuery, ErrVertexOutOfRange, ErrBadParam) for the
 // first violation found. Search calls this before acquiring a workspace.
 func (r *Request) Validate(n int) error {
 	if len(r.Q) == 0 {
 		return ErrEmptyQuery
+	}
+	if len(r.Q) > maxQueryVertices {
+		return fmt.Errorf("%w: %d query vertices, at most %d", ErrBadParam, len(r.Q), maxQueryVertices)
 	}
 	for _, v := range r.Q {
 		if v < 0 || v >= n {
@@ -334,20 +342,21 @@ func (r *Request) minProb() float64 {
 // QueryStats is the per-query execution report of one Search call. Phase
 // timings are wall-clock; for LCTC, Seed covers the Steiner-tree build,
 // Expand the local expansion plus truss extraction, and Peel the free-rider
-// shrink. For Basic/BulkDelete, Seed is the FindG0/FindKTruss lookup. For
-// TrussOnly only Seed is set.
+// shrink. For Basic/BulkDelete/TrussOnly, Seed is FindG0W/FindKTrussW and
+// Peel the free-rider shrink (none for TrussOnly) plus the copy of the answer
+// onto the index's graph.
 type QueryStats struct {
 	// Algo echoes the request's algorithm.
 	Algo Algo
 	// Epoch is the serving-snapshot epoch this query ran against (0 when the
 	// query ran on a standalone index outside the serve layer).
 	Epoch int64
-	// Seed is the time to resolve the starting structure: FindG0/FindKTruss
+	// Seed is the time to resolve the starting structure: FindG0W/FindKTrussW
 	// for Basic/BulkDelete/TrussOnly, the Steiner-tree build for LCTC.
 	Seed time.Duration
 	// Expand is LCTC's local-expansion + extraction time (0 otherwise).
 	Expand time.Duration
-	// Peel is the greedy free-rider-removal time (0 for TrussOnly).
+	// Peel is the greedy free-rider-removal time, hand-back copy included.
 	Peel time.Duration
 	// Total is the end-to-end pipeline time of the query — every phase plus
 	// the Verify re-check when requested. Request validation (a cheap O(|Q|)
@@ -360,7 +369,7 @@ type QueryStats struct {
 	// inter-phase glue can only add to Total, never subtract). Use
 	// TotalWithQueue for the client-observed latency.
 	Total time.Duration
-	// SeedEdges counts the edges of the starting subgraph the peel works on
+	// SeedEdges counts the edges of the compact graph the peel starts from
 	// (G0 for Basic/BulkDelete/TrussOnly, the extracted k-truss for LCTC) —
 	// the main driver of query cost.
 	SeedEdges int

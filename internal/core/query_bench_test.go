@@ -13,11 +13,11 @@ var searchBenchS *Searcher
 
 func searchBenchSetup(tb testing.TB) (*Searcher, []int) {
 	tb.Helper()
-	peelBenchSetup(tb)
+	ix, q := peelBenchSetup(tb)
 	if searchBenchS == nil {
-		searchBenchS = NewSearcher(peelBenchIx)
+		searchBenchS = NewSearcher(ix)
 	}
-	return searchBenchS, peelBenchQ
+	return searchBenchS, q
 }
 
 func BenchmarkLCTC(b *testing.B) { benchmarkSearch(b, AlgoLCTC) }

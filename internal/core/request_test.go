@@ -37,6 +37,7 @@ func TestRequestValidation(t *testing.T) {
 		{"negative vertex", Request{Q: []int{0, -1}}, ErrVertexOutOfRange},
 		{"vertex == n", Request{Q: []int{6}}, ErrVertexOutOfRange},
 		{"vertex far out of range", Request{Q: []int{1 << 30}}, ErrVertexOutOfRange},
+		{"too many query vertices", Request{Q: make([]int, maxQueryVertices+1)}, ErrBadParam},
 		{"unknown algo", Request{Q: []int{0}, Algo: algoEnd}, ErrBadParam},
 		{"unknown algo high bits", Request{Q: []int{0}, Algo: Algo(200)}, ErrBadParam},
 		{"unknown distance mode", Request{Q: []int{0}, DistanceMode: distanceModeEnd}, ErrBadParam},

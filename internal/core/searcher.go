@@ -29,18 +29,12 @@ func NewSearcher(ix *trussindex.Index) *Searcher { return &Searcher{ix: ix} }
 // Index returns the underlying truss index.
 func (s *Searcher) Index() *trussindex.Index { return s.ix }
 
-// findG0 resolves the starting graph: the maximal connected k-truss with
-// the largest k (or the fixed k requested). A fixed k below 2 is clamped to
-// 2 to mirror FindKTrussW's contract — the clamp must happen here too so the
-// downstream maintenance cascade enforces support >= k-2 = 0 (not a vacuous
-// negative bound) and the reported Community.K matches the subgraph.
-func (s *Searcher) findG0(q []int, fixedK int32, ws *trussindex.Workspace) (*graph.Mutable, int32, error) {
-	if k := fixedK; k > 0 {
-		if k < 2 {
-			k = 2
-		}
-		mu, err := s.ix.FindKTrussW(q, k, ws)
-		return mu, k, err
+// findG0 resolves the starting graph into the workspace's Expansion: the
+// maximal connected k-truss with the largest k, or with the fixed k requested
+// (which FindKTrussW clamps to at least 2).
+func (s *Searcher) findG0(q []int, fixedK int32, ws *trussindex.Workspace) (*trussindex.Expansion, int32, error) {
+	if fixedK > 0 {
+		return s.ix.FindKTrussW(q, fixedK, ws)
 	}
 	return s.ix.FindG0W(q, ws)
 }
@@ -51,29 +45,28 @@ func (s *Searcher) findG0(q []int, fixedK int32, ws *trussindex.Workspace) (*gra
 func (s *Searcher) searchGlobal(req Request, ws *trussindex.Workspace, res *Result) error {
 	st := &res.Stats
 	t0 := time.Now()
-	g0, k, err := s.findG0(req.Q, req.K, ws)
+	x, k, err := s.findG0(req.Q, req.K, ws)
 	st.Seed = time.Since(t0)
 	if err != nil {
 		return err
 	}
-	st.SeedEdges = g0.M()
-	sub := g0
+	st.SeedEdges = x.G.M()
+	tp := time.Now()
+	best := x.Whole()
 	if req.Algo != AlgoTrussOnly {
 		rule := peelSingle
 		if req.Algo == AlgoBulkDelete {
 			rule = peelBulk
 		}
-		tp := time.Now()
-		best, err := greedyPeel(g0, k, req.Q, rule, &ws.Peel, ws, st)
-		if err != nil {
+		if best, err = greedyPeel(best, k, x.Q, rule, ws, st); err != nil {
 			st.Peel = time.Since(tp)
 			return fmt.Errorf("core: %s: %w", req.Algo, err)
 		}
-		sub = graph.NewMutableShell(g0.Base())
-		copyComponent(sub, req.Q, best, req.Q[0], nil, ws)
-		st.Peel = time.Since(tp)
 	}
-	initCommunity(&res.Community, req.Algo.String(), sub, k, req.Q, ws)
+	out := graph.NewMutableShell(s.ix.Graph()) // see searchLCTC
+	copyComponent(out, req.Q, best, x.Q[0], x.Edge, ws)
+	st.Peel = time.Since(tp)
+	initCommunity(&res.Community, req.Algo.String(), out, k, req.Q, ws)
 	return nil
 }
 
@@ -105,10 +98,7 @@ func (s *Searcher) searchLCTC(req Request, ws *trussindex.Workspace, res *Result
 		st.Expand = time.Since(te)
 		return fmt.Errorf("core: LCTC expansion: %w", err)
 	}
-	x.Q = x.Q[:0]
-	for _, v := range req.Q {
-		x.Q = append(x.Q, x.Local(v))
-	}
+	x.SetQuery(req.Q)
 	// Truss-decompose the expansion up to kt — bestKTrussWithin never looks
 	// above it — and find the largest k <= kt such that a connected k-truss
 	// containing Q survives inside Gt. Cancellable: with a client-supplied η
@@ -119,14 +109,14 @@ func (s *Searcher) searchLCTC(req Request, ws *trussindex.Workspace, res *Result
 		st.Expand = time.Since(te)
 		return fmt.Errorf("core: LCTC expansion: %w", err)
 	}
-	ht, k, err := bestKTrussWithin(dec, x.Q, kt, &x.Peel, ws)
+	ht, k, err := bestKTrussWithin(dec, x.Q, kt, ws)
 	st.Expand = time.Since(te)
 	if err != nil {
 		return fmt.Errorf("core: LCTC extraction: %w", err)
 	}
 	st.SeedEdges = ht.M()
 	tp := time.Now()
-	best, err := greedyPeel(ht, k, x.Q, peelBulkExact, &x.Peel, ws, st)
+	best, err := greedyPeel(ht, k, x.Q, peelBulkExact, ws, st)
 	if err != nil {
 		return fmt.Errorf("core: LCTC: %w", err)
 	}
@@ -194,13 +184,13 @@ func (s *Searcher) expand(seed []int, kt int32, eta int, ws *trussindex.Workspac
 
 // bestKTrussWithin finds the maximum k <= cap such that the subgraph of the
 // decomposed expansion restricted to edges of local trussness >= k connects
-// q, and returns the q-component of that subgraph in a shell of ps (the
-// scratch of dec.G), valid until ps hands that shell out again. The candidate
-// subgraphs are built incrementally: edges enter a resettable overlay in
-// descending trussness order, so scanning k from the Lemma-1 bound downward
-// inserts each edge at most once. Cancellation is polled once per candidate
-// level.
-func bestKTrussWithin(dec *truss.Decomposition, q []int, capK int32, ps *trussindex.PeelScratch, ws *trussindex.Workspace) (*graph.Mutable, int32, error) {
+// q, and returns the q-component of that subgraph in a shell of the
+// workspace's Expansion (whose graph dec.G is), valid until the Expansion
+// hands that shell out again. The candidate subgraphs are built
+// incrementally: edges enter a resettable overlay in descending trussness
+// order, so scanning k from the Lemma-1 bound downward inserts each edge at
+// most once. Cancellation is polled once per candidate level.
+func bestKTrussWithin(dec *truss.Decomposition, q []int, capK int32, ws *trussindex.Workspace) (*graph.Mutable, int32, error) {
 	hi := dec.QueryUpperBound(q)
 	if hi > capK {
 		hi = capK
@@ -228,7 +218,8 @@ func bestKTrussWithin(dec *truss.Decomposition, q []int, capK int32, ps *trussin
 		order[cnt[t]] = e
 	}
 	ws.QueueB = order
-	mu := ps.Shell()
+	x := ws.Expansion()
+	mu := x.Shell()
 	pos := 0
 	for k := hi; k >= 2; k-- {
 		if err := ws.Canceled(); err != nil {
@@ -241,7 +232,7 @@ func bestKTrussWithin(dec *truss.Decomposition, q []int, capK int32, ps *trussin
 		if !connectedOn(mu, q, ws) {
 			continue
 		}
-		ht := ps.Shell()
+		ht := x.Shell()
 		copyComponent(ht, q, mu, q[0], nil, ws)
 		return ht, k, nil
 	}

@@ -49,10 +49,11 @@ func buildCompact(t *testing.T, c *Compact, src *Graph, verts []int32) {
 // itself — relabelling, edge numbering, the maps back to the source, edge
 // lookup and supports — is held to the same graph from a Builder. Then ops
 // decoded from the fuzz input (each quad picks a vertex and one of its arcs)
-// delete edges and vertices, clone, clone into a pooled buffer and move into
-// a pooled shell, both of which were last bound to the Compact when it had
-// another size; at the end the overlay is held to a map model and, kernel by
-// kernel, to the same edits replayed on an overlay of the Builder's graph.
+// delete edges and vertices from a pooled overlay refilled with the whole
+// graph, clone, and move into a pooled buffer or a pooled shell — the buffer
+// and the shell were last bound to the Compact when it had another size; at
+// the end the overlay is held to a map model and, kernel by kernel, to the
+// same edits replayed on an overlay of the Builder's graph.
 func FuzzCompactGraph(f *testing.F) {
 	for i := range compactSizes {
 		f.Add(uint8(i), []byte{0, 0, 3, 1, 1, 0, 64, 0, 2, 0, 0, 0, 0, 0, 65, 2, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 1, 4, 1, 7, 255, 1})
@@ -107,7 +108,9 @@ func FuzzCompactGraph(f *testing.F) {
 			t.Fatalf("n=%d: EdgeSupports diverged", n)
 		}
 
-		mu, ref := NewMutable(g, nil), NewMutable(plain, nil)
+		buf.Reset(g)
+		buf.Fill()
+		mu, ref := buf, NewMutable(plain, nil)
 		edges := map[EdgeKey]bool{}
 		present := map[int]bool{}
 		for _, k := range g.edges {
@@ -138,19 +141,18 @@ func FuzzCompactGraph(f *testing.F) {
 				}
 			case 2:
 				mu = mu.Clone()
-			case 3:
-				if mu != buf {
-					mu.CloneInto(buf)
-					mu = buf
+			case 3, 4:
+				dst := buf
+				if data[i]%5 == 4 {
+					dst = shell
 				}
-			case 4:
-				if mu != shell {
-					shell.Reset(g)
-					mu.ForEachLiveEdge(func(e int32, _, _ int) { shell.AddEdgeByID(e) })
+				if mu != dst {
+					dst.Reset(g)
+					mu.ForEachLiveEdge(func(e int32, _, _ int) { dst.AddEdgeByID(e) })
 					for v := range present {
-						shell.EnsureVertex(v)
+						dst.EnsureVertex(v)
 					}
-					mu = shell
+					mu = dst
 				}
 			}
 		}

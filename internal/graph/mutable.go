@@ -291,28 +291,6 @@ func (mu *Mutable) Clone() *Mutable {
 	return cp
 }
 
-// CloneInto copies mu's full state into dst, reusing dst's storage — the
-// pooled-workspace alternative to Clone for the peeling loops. Both
-// Mutables must wrap the same base graph (dst may still have the size the
-// graph had before a Compact rebuild), be overlay-pure, and dst must be
-// untracked (its touched lists could not survive a wholesale overwrite).
-func (mu *Mutable) CloneInto(dst *Mutable) {
-	if dst.base != mu.base {
-		panic("graph: CloneInto requires Mutables over the same base graph")
-	}
-	if dst.tracked {
-		panic("graph: CloneInto target must not be a resettable shell")
-	}
-	mu.requirePure("CloneInto")
-	dst.requirePure("CloneInto")
-	dst.alive = append(dst.alive[:0], mu.alive...)
-	dst.deg = append(dst.deg[:0], mu.deg...)
-	dst.present = append(dst.present[:0], mu.present...)
-	dst.live, dst.w = append(dst.live[:0], mu.live...), mu.w
-	dst.n = mu.n
-	dst.aliveM = mu.aliveM
-}
-
 // NumIDs implements Adjacency.
 func (mu *Mutable) NumIDs() int { return len(mu.present) }
 

@@ -26,8 +26,8 @@ func fastOpts() Options {
 
 // checkSnapshotAgainstScratch compares one published snapshot against a
 // from-scratch Decompose + BuildFromDecomposition on the snapshot's own
-// frozen graph: every edge label, then FindG0/Basic/LCTC answers for a set
-// of query vertex pairs.
+// frozen graph: every edge label, then TrussOnly/Basic/LCTC answers for a
+// set of query vertex pairs.
 func checkSnapshotAgainstScratch(t *testing.T, snap *Snapshot, queries [][]int) {
 	t.Helper()
 	g := snap.Graph()
@@ -41,16 +41,7 @@ func checkSnapshotAgainstScratch(t *testing.T, snap *Snapshot, queries [][]int) 
 	liveS := core.NewSearcher(snap.Index())
 	refS := core.NewSearcher(refIx)
 	for _, q := range queries {
-		gotG0, gotK, gotErr := snap.Index().FindG0(q)
-		wantG0, wantK, wantErr := refIx.FindG0(q)
-		if (gotErr == nil) != (wantErr == nil) || gotK != wantK {
-			t.Fatalf("epoch %d: FindG0(%v) = (k=%d, err=%v), from-scratch (k=%d, err=%v)",
-				snap.Epoch(), q, gotK, gotErr, wantK, wantErr)
-		}
-		if gotErr == nil && !sameVertexSet(gotG0.Vertices(), wantG0.Vertices()) {
-			t.Fatalf("epoch %d: FindG0(%v) vertex sets differ", snap.Epoch(), q)
-		}
-		for _, algo := range []core.Algo{core.AlgoBasic, core.AlgoLCTC} {
+		for _, algo := range []core.Algo{core.AlgoTrussOnly, core.AlgoBasic, core.AlgoLCTC} {
 			got, gotErr := search(liveS, algo, q)
 			want, wantErr := search(refS, algo, q)
 			if (gotErr == nil) != (wantErr == nil) {
@@ -92,7 +83,7 @@ func sameVertexSet(a, b []int) bool {
 // TestDifferentialEpochStream is the acceptance differential: a random
 // 1000-op insert/delete stream (including foreign edges that force rebases
 // and vertex-space growth), checking at every published epoch that the
-// snapshot's labels and FindG0/Basic/LCTC answers equal a from-scratch
+// snapshot's labels and TrussOnly/Basic/LCTC answers equal a from-scratch
 // decomposition and index build on the same graph state.
 func TestDifferentialEpochStream(t *testing.T) {
 	g, _ := gen.CommunityGraph(gen.CommunityParams{
@@ -250,7 +241,7 @@ func TestSnapshotRefcountRetirement(t *testing.T) {
 	if old.Graph().M() != oldM {
 		t.Fatal("held snapshot mutated by later updates")
 	}
-	if _, _, err := old.Index().FindG0([]int{0, 1}); err != nil && !errors.Is(err, trussindex.ErrNoCommunity) {
+	if _, err := search(core.NewSearcher(old.Index()), core.AlgoTrussOnly, []int{0, 1}); err != nil && !errors.Is(err, trussindex.ErrNoCommunity) {
 		t.Fatalf("held snapshot not queryable: %v", err)
 	}
 
@@ -291,12 +282,12 @@ func TestRebaseGrowsVertexSpace(t *testing.T) {
 	if snap.Graph().N() < nv[len(nv)-1]+1 {
 		t.Fatalf("vertex space not grown: n=%d", snap.Graph().N())
 	}
-	mu, k, err := snap.Index().FindG0([]int{nv[0], nv[4]})
+	c, err := search(core.NewSearcher(snap.Index()), core.AlgoTrussOnly, []int{nv[0], nv[4]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k != 5 || mu.N() != 5 {
-		t.Fatalf("clique community: k=%d n=%d, want k=5 n=5", k, mu.N())
+	if c.K != 5 || c.N() != 5 {
+		t.Fatalf("clique community: k=%d n=%d, want k=5 n=5", c.K, c.N())
 	}
 }
 

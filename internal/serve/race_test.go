@@ -13,7 +13,7 @@ import (
 )
 
 // TestConcurrentQueriersOneUpdater is the snapshot-isolation stress: several
-// goroutines run Basic/LCTC/FindG0 against whatever epoch they acquire while
+// goroutines run Basic/LCTC/TrussOnly against whatever epoch they acquire while
 // one updater streams deletions and re-insertions and a poller hammers
 // Stats. Run under -race (CI does); the assertions here are liveness and
 // sanity — queries must keep succeeding against their acquired epoch and
@@ -59,7 +59,7 @@ func TestConcurrentQueriersOneUpdater(t *testing.T) {
 				case 1:
 					_, err = search(s, core.AlgoLCTC, q)
 				default:
-					_, _, err = snap.Index().FindG0(q)
+					_, err = search(s, core.AlgoTrussOnly, q)
 				}
 				if err != nil && !errors.Is(err, trussindex.ErrNoCommunity) {
 					t.Errorf("query failed: %v", err)

@@ -14,12 +14,12 @@ import (
 func TestFindKTrussLowKClamped(t *testing.T) {
 	g := graph.FromEdges(6, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}})
 	ix := Build(g)
-	want, err := ix.FindKTruss([]int{0}, 2)
+	want, err := findKTruss(t, ix, []int{0}, 2)
 	if err != nil {
 		t.Fatalf("k=2: %v", err)
 	}
 	for _, k := range []int32{1, 0, -3} {
-		mu, err := ix.FindKTruss([]int{0}, k)
+		mu, err := findKTruss(t, ix, []int{0}, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -30,7 +30,7 @@ func TestFindKTrussLowKClamped(t *testing.T) {
 	}
 	// Vertex 5 is isolated: no k may succeed, including the clamped ones.
 	for _, k := range []int32{-1, 0, 1, 2, 3} {
-		if _, err := ix.FindKTruss([]int{5}, k); !errors.Is(err, ErrNoCommunity) {
+		if _, err := findKTruss(t, ix, []int{5}, k); !errors.Is(err, ErrNoCommunity) {
 			t.Fatalf("isolated vertex, k=%d: err = %v, want ErrNoCommunity", k, err)
 		}
 	}
@@ -46,13 +46,13 @@ func TestEmptyGraphIndex(t *testing.T) {
 	if ths := ix.Thresholds(); len(ths) != 0 {
 		t.Fatalf("empty graph thresholds = %v", ths)
 	}
-	if _, _, err := ix.FindG0([]int{0}); err == nil {
+	if _, _, err := findG0(t, ix, []int{0}); err == nil {
 		t.Fatal("FindG0 on empty graph accepted an out-of-range query")
 	}
-	if _, err := ix.FindKTruss([]int{0}, 2); !errors.Is(err, ErrNoCommunity) {
+	if _, err := findKTruss(t, ix, []int{0}, 2); !errors.Is(err, ErrNoCommunity) {
 		t.Fatal("FindKTruss on empty graph must fail with ErrNoCommunity")
 	}
-	if _, err := ix.FindKTruss(nil, 3); err == nil {
+	if _, err := findKTruss(t, ix, nil, 3); err == nil {
 		t.Fatal("empty query accepted")
 	}
 	if ix.VertexTruss(0) != 0 || ix.EdgeTruss(0, 1) != 0 {
@@ -70,11 +70,11 @@ func TestFindKTrussFailureBuildsNothing(t *testing.T) {
 	ix := Build(g)
 	ws := ix.AcquireWorkspace()
 	defer ws.Release()
-	if mu, err := ix.FindKTrussW([]int{0, 3}, 3, ws); err == nil || mu != nil {
-		t.Fatalf("cross-component query: mu=%v err=%v, want nil + error", mu, err)
+	if x, _, err := ix.FindKTrussW([]int{0, 3}, 3, ws); err == nil || x != nil {
+		t.Fatalf("cross-component query: x=%v err=%v, want nil + error", x, err)
 	}
-	mu, err := ix.FindKTrussW([]int{0, 2}, 3, ws)
-	if err != nil || mu.M() != 3 {
-		t.Fatalf("follow-up query on reused workspace: mu=%v err=%v", mu, err)
+	x, _, err := ix.FindKTrussW([]int{0, 2}, 3, ws)
+	if err != nil || x.G.M() != 3 {
+		t.Fatalf("follow-up query on reused workspace: x=%v err=%v", x, err)
 	}
 }

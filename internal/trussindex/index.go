@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -305,24 +306,14 @@ func (ix *Index) computeThresholds() []int32 {
 	return out
 }
 
-// FindG0 implements Algorithm 2: starting from the Lemma-1 level
-// k = min_q τ(q), it inserts edges in decreasing order of trussness,
+// FindG0W implements Algorithm 2: starting from the Lemma-1 level
+// k = min_q τ(q), it consumes edges in decreasing order of trussness,
 // expanding BFS-style from the query vertices, and stops at the first level
-// where the query vertices become connected. It returns the connected
-// component containing Q of the accumulated k-truss, together with k.
-//
-// The returned Mutable is freshly allocated and owned by the caller; all
-// intermediate scratch comes from the index's workspace pool, so the steady
-// state allocates only the result.
-func (ix *Index) FindG0(q []int) (*graph.Mutable, int32, error) {
-	ws := ix.AcquireWorkspace()
-	defer ws.Release()
-	return ix.FindG0W(q, ws)
-}
-
-// FindG0W is FindG0 running on an explicit workspace (which must belong to
-// this index).
-func (ix *Index) FindG0W(q []int, ws *Workspace) (*graph.Mutable, int32, error) {
+// where the query vertices become connected. It returns G0, the connected
+// component containing Q of the k-truss, built as the compact graph of the
+// workspace's Expansion (valid until the workspace's next query), together
+// with k.
+func (ix *Index) FindG0W(q []int, ws *Workspace) (*Expansion, int32, error) {
 	if len(q) == 0 {
 		return nil, 0, errors.New("trussindex: empty query")
 	}
@@ -340,10 +331,6 @@ func (ix *Index) FindG0W(q []int, ws *Workspace) (*graph.Mutable, int32, error) 
 			k = t
 		}
 	}
-	// g0 is assembled purely out of base-graph edges, so it is an edge-bitset
-	// overlay of the indexed graph: AddEdgeByID revives bits, no hashing. The
-	// shell is pooled and reset by touched-word tracking on Release.
-	g0 := ws.Shell()
 	uf := ws.dsuReset()
 	// pos[v]: how many of v's trussness-sorted arcs have been consumed.
 	pos, posStamp := ws.ValA, ws.StampA.Next()
@@ -384,11 +371,8 @@ func (ix *Index) FindG0W(q []int, ws *Workspace) (*graph.Mutable, int32, error) 
 			}
 			for p < hi && ix.nbrTruss[p] >= k {
 				u := int(ix.nbr[p])
-				e := ix.nbrEID[p]
 				p++
-				if g0.AddEdgeByID(e) {
-					uf.union(int32(v), int32(u))
-				}
+				uf.union(int32(v), int32(u))
 				if !(ws.StampB.Mark[u] == schedStamp && scheduledAt[u] == k) {
 					ws.StampB.Mark[u] = schedStamp
 					scheduledAt[u] = k
@@ -404,118 +388,50 @@ func (ix *Index) FindG0W(q []int, ws *Workspace) (*graph.Mutable, int32, error) 
 		}
 		levels[k] = queue[:0] // keep the grown capacity for future queries
 		if uf.sameSet(q) {
-			return ix.extractComponent(g0, uf, q), k, nil
+			return ix.FindKTrussW(q, k, ws)
 		}
 	}
 	return nil, 0, ErrNoCommunity
 }
 
-// extractComponent builds the caller-owned result: the connected component
-// of q[0] in the accumulated overlay g0. The DSU already knows the
-// components (it was union-ed exactly on g0's edges), so the component test
-// is a find() per touched edge — no BFS, no O(n) scan.
-func (ix *Index) extractComponent(g0 *graph.Mutable, uf *stampedDSU, q []int) *graph.Mutable {
-	out := graph.NewMutableShell(ix.g)
-	root := uf.find(int32(q[0]))
-	g0.ForEachTouchedLiveEdge(func(e int32, u, _ int) {
-		if uf.find(int32(u)) == root {
-			out.AddEdgeByID(e)
-		}
-	})
-	for _, v := range q {
-		out.EnsureVertex(v)
-	}
-	return out
-}
-
-// FindKTruss returns the connected component containing Q of the maximal
-// k-truss for the given fixed k (used by the Exp-5 fixed-trussness variant),
-// or ErrNoCommunity if Q is not contained in one.
-func (ix *Index) FindKTruss(q []int, k int32) (*graph.Mutable, error) {
-	ws := ix.AcquireWorkspace()
-	defer ws.Release()
-	return ix.FindKTrussW(q, k, ws)
-}
-
-// FindKTrussW is FindKTruss running on an explicit workspace. The BFS runs
-// in two phases: a connectivity phase that stops as soon as every query
-// vertex has been reached (so an unsatisfiable query fails after exploring
-// only q[0]'s component, without building any subgraph), then a completion
-// phase that finishes the component and materializes each undirected edge
-// exactly once by its base edge ID.
+// FindKTrussW returns the connected component containing Q of the maximal
+// k-truss for the given fixed k (the Exp-5 fixed-trussness variant, and
+// FindG0W's G0 once it knows k), built as the compact graph of the
+// workspace's Expansion (valid until the workspace's next query) with Q set,
+// together with k; or ErrNoCommunity if Q is not contained in one. One BFS
+// collects q[0]'s component, so an unsatisfiable query fails having explored
+// only that component and built nothing.
 //
 // Trussness is only defined for k >= 2 (every edge of a graph is in a
 // 2-truss); requests below that are clamped to k = 2, so k <= 1 behaves
 // exactly like k = 2 — in particular a query on an isolated vertex fails
 // with ErrNoCommunity for every k instead of "succeeding" with an edgeless
-// community at k <= τ(v) = 0.
-func (ix *Index) FindKTrussW(q []int, k int32, ws *Workspace) (*graph.Mutable, error) {
+// community at k <= τ(v) = 0. The returned k is the clamped one.
+func (ix *Index) FindKTrussW(q []int, k int32, ws *Workspace) (*Expansion, int32, error) {
 	if len(q) == 0 {
-		return nil, errors.New("trussindex: empty query")
+		return nil, 0, errors.New("trussindex: empty query")
 	}
 	if k < 2 {
 		k = 2
 	}
 	for _, v := range q {
 		if v < 0 || v >= ix.g.N() || ix.vertexTruss[v] < k {
-			return nil, fmt.Errorf("%w (k=%d)", ErrNoCommunity, k)
-		}
-	}
-	// qmark marks distinct query vertices; remaining counts those not yet
-	// reached by the BFS (q may hold duplicates).
-	qmark := ws.StampB.Next()
-	remaining := 0
-	for _, v := range q {
-		if ws.StampB.Mark[v] != qmark {
-			ws.StampB.Mark[v] = qmark
-			remaining++
+			return nil, 0, fmt.Errorf("%w (k=%d)", ErrNoCommunity, k)
 		}
 	}
 	seen := ws.StampA.Next()
 	mark := ws.StampA.Mark
 	mark[q[0]] = seen
-	remaining--
 	queue := ws.QueueA[:0]
 	queue = append(queue, int32(q[0]))
-	head := 0
-	// Phase 1: connectivity. Stop as soon as every query vertex is reached;
-	// if the queue drains first, Q spans multiple k-truss components and we
-	// fail having built nothing.
-	for head < len(queue) && remaining > 0 {
+	for head := 0; head < len(queue); head++ {
 		if head&(cancelCheckInterval-1) == 0 {
 			if err := ws.Canceled(); err != nil {
 				ws.QueueA = queue
-				return nil, err
+				return nil, 0, err
 			}
 		}
-		v := int(queue[head])
-		head++
-		nbrs, _ := ix.NeighborsAtLeast(v, k)
-		for _, u := range nbrs {
-			if mark[u] != seen {
-				mark[u] = seen
-				if ws.StampB.Mark[u] == qmark {
-					remaining--
-				}
-				queue = append(queue, u)
-			}
-		}
-	}
-	if remaining > 0 {
-		ws.QueueA = queue
-		return nil, fmt.Errorf("%w (k=%d)", ErrNoCommunity, k)
-	}
-	// Phase 2: complete the component (the result must be the whole
-	// q-component of the maximal k-truss, not just enough to connect Q).
-	for ; head < len(queue); head++ {
-		if head&(cancelCheckInterval-1) == 0 {
-			if err := ws.Canceled(); err != nil {
-				ws.QueueA = queue
-				return nil, err
-			}
-		}
-		v := int(queue[head])
-		nbrs, _ := ix.NeighborsAtLeast(v, k)
+		nbrs, _ := ix.NeighborsAtLeast(int(queue[head]), k)
 		for _, u := range nbrs {
 			if mark[u] != seen {
 				mark[u] = seen
@@ -524,18 +440,17 @@ func (ix *Index) FindKTrussW(q []int, k int32, ws *Workspace) (*graph.Mutable, e
 		}
 	}
 	ws.QueueA = queue
-	// Phase 3: materialize. Every component vertex is in queue; inserting
-	// arcs only from their smaller endpoint adds each edge once.
-	mu := graph.NewMutableShell(ix.g)
-	for _, vq := range queue {
-		v := int(vq)
-		nbrs, eids := ix.NeighborsAtLeast(v, k)
-		for i, u := range nbrs {
-			if int(u) > v {
-				mu.AddEdgeByID(eids[i])
-			}
+	for _, v := range q {
+		if mark[v] != seen {
+			return nil, 0, fmt.Errorf("%w (k=%d)", ErrNoCommunity, k)
 		}
 	}
-	mu.EnsureVertex(q[0])
-	return mu, nil
+	slices.Sort(queue)
+	x := ws.Expansion()
+	arcs := func(v int) ([]int32, []int32) { return ix.NeighborsAtLeast(v, k) }
+	if err := x.Build(queue, ws.StampA, ws.ValA, arcs, ws.Canceled); err != nil {
+		return nil, 0, err
+	}
+	x.SetQuery(q)
+	return x, k, nil
 }

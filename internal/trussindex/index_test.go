@@ -52,6 +52,47 @@ func randomGraph(seed int64, n int, p float64) *graph.Graph {
 	return b.Build()
 }
 
+// findG0 runs FindG0W on a workspace of its own and returns G0 copied onto
+// an overlay of the index's graph.
+func findG0(t *testing.T, ix *Index, q []int) (*graph.Mutable, int32, error) {
+	t.Helper()
+	ws := ix.AcquireWorkspace()
+	defer ws.Release()
+	x, k, err := ix.FindG0W(q, ws)
+	return onIndexGraph(t, ix, x), k, err
+}
+
+// findKTruss is findG0 for FindKTrussW.
+func findKTruss(t *testing.T, ix *Index, q []int, k int32) (*graph.Mutable, error) {
+	t.Helper()
+	ws := ix.AcquireWorkspace()
+	defer ws.Release()
+	x, _, err := ix.FindKTrussW(q, k, ws)
+	return onIndexGraph(t, ix, x), err
+}
+
+// onIndexGraph copies a compact graph's edges onto an overlay of the index's
+// graph (nil for nil), checking that its vertex map covers the same vertices.
+func onIndexGraph(t *testing.T, ix *Index, x *Expansion) *graph.Mutable {
+	t.Helper()
+	if x == nil {
+		return nil
+	}
+	mu := graph.NewMutableShell(ix.g)
+	for _, e := range x.Edge {
+		mu.AddEdgeByID(e)
+	}
+	if mu.N() != len(x.Vert) || mu.M() != x.G.M() {
+		t.Fatalf("compact graph has %d vertices %d edges, its edges span %d vertices", len(x.Vert), x.G.M(), mu.N())
+	}
+	for _, v := range x.Vert {
+		if !mu.Present(int(v)) {
+			t.Fatalf("compact vertex %d has no edge", v)
+		}
+	}
+	return mu
+}
+
 func TestIndexLookups(t *testing.T) {
 	g := paperGraph()
 	ix := Build(g)
@@ -110,7 +151,7 @@ func TestIndexAdjacencySortedByTruss(t *testing.T) {
 func TestFindG0PaperFigure1(t *testing.T) {
 	g := paperGraph()
 	ix := Build(g)
-	mu, k, err := ix.FindG0([]int{0, 1, 2})
+	mu, k, err := findG0(t, ix, []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +174,7 @@ func TestFindG0PaperFigure4(t *testing.T) {
 	if ix.EdgeTruss(6, 7) != 2 {
 		t.Fatalf("τ(t1,t2) = %d, want 2", ix.EdgeTruss(6, 7))
 	}
-	mu, k, err := ix.FindG0([]int{0, 1})
+	mu, k, err := findG0(t, ix, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +190,7 @@ func TestFindG0SingleQuery(t *testing.T) {
 	g := paperGraph()
 	ix := Build(g)
 	// Q = {q3}: q3 sits in 4-trusses; G0 must be a connected 4-truss.
-	mu, k, err := ix.FindG0([]int{2})
+	mu, k, err := findG0(t, ix, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,16 +205,16 @@ func TestFindG0SingleQuery(t *testing.T) {
 func TestFindG0Errors(t *testing.T) {
 	g := graph.FromEdges(5, [][2]int{{0, 1}, {2, 3}})
 	ix := Build(g)
-	if _, _, err := ix.FindG0([]int{0, 2}); !errors.Is(err, ErrNoCommunity) {
+	if _, _, err := findG0(t, ix, []int{0, 2}); !errors.Is(err, ErrNoCommunity) {
 		t.Fatalf("disconnected query: err = %v", err)
 	}
-	if _, _, err := ix.FindG0(nil); err == nil {
+	if _, _, err := findG0(t, ix, nil); err == nil {
 		t.Fatal("empty query must fail")
 	}
-	if _, _, err := ix.FindG0([]int{99}); err == nil {
+	if _, _, err := findG0(t, ix, []int{99}); err == nil {
 		t.Fatal("out-of-range query must fail")
 	}
-	if _, _, err := ix.FindG0([]int{4}); !errors.Is(err, ErrNoCommunity) {
+	if _, _, err := findG0(t, ix, []int{4}); !errors.Is(err, ErrNoCommunity) {
 		t.Fatalf("isolated query vertex: err = %v", err)
 	}
 }
@@ -189,7 +230,7 @@ func TestFindG0MatchesReference(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			q := []int{rng.Intn(30), rng.Intn(30)}
 			want, wantK, wantErr := truss.MaxConnectedKTruss(g, d, q)
-			got, gotK, gotErr := ix.FindG0(q)
+			got, gotK, gotErr := findG0(t, ix, q)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("seed %d q=%v: err mismatch: %v vs %v", seed, q, wantErr, gotErr)
 			}
@@ -216,7 +257,7 @@ func TestFindKTruss(t *testing.T) {
 	g := paperGraph()
 	ix := Build(g)
 	// Fixed k=2 for Q={q1,q2,q3} spans the entire graph (t included).
-	mu, err := ix.FindKTruss([]int{0, 1, 2}, 2)
+	mu, err := findKTruss(t, ix, []int{0, 1, 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +265,7 @@ func TestFindKTruss(t *testing.T) {
 		t.Fatalf("2-truss N = %d, want 12", mu.N())
 	}
 	// Fixed k=4 matches FindG0's answer.
-	mu4, err := ix.FindKTruss([]int{0, 1, 2}, 4)
+	mu4, err := findKTruss(t, ix, []int{0, 1, 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +273,11 @@ func TestFindKTruss(t *testing.T) {
 		t.Fatalf("4-truss N = %d, want 11", mu4.N())
 	}
 	// k=5 exceeds every vertex trussness.
-	if _, err := ix.FindKTruss([]int{0, 1, 2}, 5); !errors.Is(err, ErrNoCommunity) {
+	if _, err := findKTruss(t, ix, []int{0, 1, 2}, 5); !errors.Is(err, ErrNoCommunity) {
 		t.Fatalf("k=5: err = %v", err)
 	}
 	// Query split across 4-truss components at k=4.
-	if _, err := ix.FindKTruss([]int{0, 11}, 4); !errors.Is(err, ErrNoCommunity) {
+	if _, err := findKTruss(t, ix, []int{0, 11}, 4); !errors.Is(err, ErrNoCommunity) {
 		t.Fatalf("split query: err = %v", err)
 	}
 }
@@ -269,8 +310,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 	})
 	// The restored index must answer queries identically.
 	q := []int{0, 1}
-	m1, k1, e1 := ix.FindG0(q)
-	m2, k2, e2 := back.FindG0(q)
+	m1, k1, e1 := findG0(t, ix, q)
+	m2, k2, e2 := findG0(t, back, q)
 	if (e1 == nil) != (e2 == nil) {
 		t.Fatalf("FindG0 err mismatch: %v vs %v", e1, e2)
 	}

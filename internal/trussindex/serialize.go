@@ -14,11 +14,10 @@ import (
 
 // Serialization format. The 8-byte header is "CTCIDX" + an ASCII format
 // version digit + '\n', so a snapshot file identifies both the format and
-// its revision; readers accept every version they know how to decode and
-// reject unknown ones with a clear error (the ctcserve persistence path
-// relies on this to load snapshots across releases).
+// its revision; the reader decodes the current version and rejects any other
+// with ErrUnsupportedVersion.
 //
-// Version 3 (current), little-endian varints after the header:
+// Version 3, little-endian varints after the header:
 //
 //	n (uvarint), maxTruss (uvarint), m (uvarint)
 //	per vertex v: deg (uvarint), then deg pairs (neighbor uvarint, τ uvarint)
@@ -29,19 +28,18 @@ import (
 // by the first pair. The trailer lets a reader distinguish a complete
 // snapshot from a torn or bit-flipped one even when the truncation happens
 // to fall on a varint boundary — the WAL checkpoint recovery path depends on
-// this to reject a checkpoint file the crash interrupted. Version 2 is
-// identical minus the trailer; version 1 additionally lacks the m field.
-// Both remain readable.
+// this to reject a checkpoint file the crash interrupted.
 
 const (
 	magicPrefix = "CTCIDX"
-	// formatV1 is the legacy header without the edge-count field.
-	formatV1 = magicPrefix + "1\n"
-	// formatV2 is the legacy header without the CRC trailer.
-	formatV2 = magicPrefix + "2\n"
 	// formatV3 is the current header.
 	formatV3 = magicPrefix + "3\n"
 )
+
+// ErrUnsupportedVersion is returned by ReadFrom for a well-formed CTCIDX
+// header of a format version other than the current one. It does not wrap
+// ErrCorrupt: the file may be intact, just not readable by this build.
+var ErrUnsupportedVersion = errors.New("trussindex: unsupported index format version")
 
 // castagnoli is the CRC-32C table shared by the serializer and the WAL.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -132,27 +130,19 @@ func (cr *crcByteReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadFrom deserializes an index previously written with WriteTo, accepting
-// any known format version. Malformed input of any shape — truncated mid-
-// varint, impossible counts, asymmetric adjacency, a CRC mismatch — yields
-// an error wrapping ErrCorrupt, never a panic.
+// ReadFrom deserializes an index previously written with WriteTo. Malformed
+// input of any shape — truncated mid-varint, impossible counts, asymmetric
+// adjacency, a CRC mismatch — yields an error wrapping ErrCorrupt, never a
+// panic.
 func ReadFrom(r io.Reader) (*Index, error) {
 	cr := &crcByteReader{r: bufio.NewReader(r), crc: crc32.New(castagnoli)}
 	head := make([]byte, len(formatV3))
 	if _, err := io.ReadFull(cr, head); err != nil {
 		return nil, corruptf("reading magic: %v", err)
 	}
-	var version int
-	switch string(head) {
-	case formatV1:
-		version = 1
-	case formatV2:
-		version = 2
-	case formatV3:
-		version = 3
-	default:
+	if string(head) != formatV3 {
 		if string(head[:len(magicPrefix)]) == magicPrefix && head[len(head)-1] == '\n' {
-			return nil, fmt.Errorf("trussindex: unsupported index format version %q (supported: 1, 2, 3)", head[len(magicPrefix):len(head)-1])
+			return nil, fmt.Errorf("%w %q (supported: 3)", ErrUnsupportedVersion, head[len(magicPrefix):len(head)-1])
 		}
 		return nil, corruptf("bad magic %q", head)
 	}
@@ -172,23 +162,19 @@ func ReadFrom(r io.Reader) (*Index, error) {
 	if maxTruss > n64 {
 		return nil, corruptf("max trussness %d exceeds vertex count %d", maxTruss, n64)
 	}
-	declaredM := int64(-1)
-	if version >= 2 {
-		m64, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return nil, corruptf("reading m: %v", err)
-		}
-		// Each vertex has fewer neighbors than there are vertices. n64 is
-		// already bounded by MaxVertexID+1, so the product cannot overflow,
-		// and an n=0 file must declare m=0 (the unsigned n64-1 would wrap).
-		var maxM uint64
-		if n64 > 0 {
-			maxM = n64 * (n64 - 1) / 2
-		}
-		if m64 > maxM {
-			return nil, corruptf("edge count %d impossible for %d vertices", m64, n64)
-		}
-		declaredM = int64(m64)
+	m64, err := binary.ReadUvarint(cr)
+	if err != nil {
+		return nil, corruptf("reading m: %v", err)
+	}
+	// Each vertex has fewer neighbors than there are vertices. n64 is already
+	// bounded by MaxVertexID+1, so the product cannot overflow, and an n=0
+	// file must declare m=0 (the unsigned n64-1 would wrap).
+	var maxM uint64
+	if n64 > 0 {
+		maxM = n64 * (n64 - 1) / 2
+	}
+	if m64 > maxM {
+		return nil, corruptf("edge count %d impossible for %d vertices", m64, n64)
 	}
 	n := int(n64)
 	ix := &Index{
@@ -236,27 +222,24 @@ func ReadFrom(r io.Reader) (*Index, error) {
 			ix.vertexTruss[v] = ix.nbrTruss[ix.off[v]]
 		}
 	}
-	if version >= 3 {
-		// The payload CRC is computed before the trailer bytes are read, so
-		// the trailer never hashes itself.
-		sum := cr.crc.Sum32()
-		var tr [4]byte
-		if _, err := io.ReadFull(cr.r, tr[:]); err != nil {
-			return nil, corruptf("reading CRC trailer: %v", err)
-		}
-		if got := binary.LittleEndian.Uint32(tr[:]); got != sum {
-			return nil, corruptf("CRC mismatch: trailer %08x, payload %08x", got, sum)
-		}
+	// The payload CRC is computed before the trailer bytes are read, so the
+	// trailer never hashes itself.
+	sum := cr.crc.Sum32()
+	var tr [4]byte
+	if _, err := io.ReadFull(cr.r, tr[:]); err != nil {
+		return nil, corruptf("reading CRC trailer: %v", err)
+	}
+	if got := binary.LittleEndian.Uint32(tr[:]); got != sum {
+		return nil, corruptf("CRC mismatch: trailer %08x, payload %08x", got, sum)
 	}
 	// A complete snapshot ends exactly here: trailing bytes mean the header
-	// lied about the shape (e.g. a bit flip turned a v3 file into "v2" and
-	// left its trailer dangling) — reject rather than silently ignore them.
+	// lied about the shape — reject rather than silently ignore them.
 	if _, err := cr.r.ReadByte(); err != io.EOF {
 		return nil, corruptf("trailing garbage after index payload")
 	}
 	ix.g = b.Build()
-	if declaredM >= 0 && int64(ix.g.M()) != declaredM {
-		return nil, corruptf("header declares %d edges, adjacency holds %d", declaredM, ix.g.M())
+	if uint64(ix.g.M()) != m64 {
+		return nil, corruptf("header declares %d edges, adjacency holds %d", m64, ix.g.M())
 	}
 	// Scatter the per-arc trussness into the dense edge-ID array and record
 	// each arc's edge ID. The graph was built from the u > v arcs only, so a

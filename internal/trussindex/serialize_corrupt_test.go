@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 )
@@ -12,6 +13,13 @@ func put(buf *bytes.Buffer, x uint64) {
 	var b [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(b[:], x)
 	buf.Write(b[:n])
+}
+
+// sealed returns buf's bytes followed by their CRC-32C trailer, so a crafted
+// payload reaches the structural check it targets instead of failing the
+// checksum.
+func sealed(buf *bytes.Buffer) []byte {
+	return binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.Checksum(buf.Bytes(), castagnoli))
 }
 
 // expectCorrupt asserts that decoding fails with the typed ErrCorrupt
@@ -30,34 +38,34 @@ func expectCorrupt(t *testing.T, raw []byte, what string) {
 func TestReadFromRejectsCorruptHeaders(t *testing.T) {
 	// Huge n.
 	var b1 bytes.Buffer
-	b1.WriteString(formatV2)
+	b1.WriteString(formatV3)
 	put(&b1, 1<<63)
 	put(&b1, 3)
-	expectCorrupt(t, b1.Bytes(), "huge n")
+	expectCorrupt(t, sealed(&b1), "huge n")
 	// maxTruss > n.
 	var b2 bytes.Buffer
-	b2.WriteString(formatV2)
+	b2.WriteString(formatV3)
 	put(&b2, 4)
 	put(&b2, 1<<31)
-	expectCorrupt(t, b2.Bytes(), "huge maxTruss")
+	expectCorrupt(t, sealed(&b2), "huge maxTruss")
 	// m impossible for n.
 	var b3 bytes.Buffer
-	b3.WriteString(formatV2)
+	b3.WriteString(formatV3)
 	put(&b3, 4) // n
 	put(&b3, 2) // maxTruss
 	put(&b3, 7) // m > 4*3/2
-	expectCorrupt(t, b3.Bytes(), "impossible edge count")
+	expectCorrupt(t, sealed(&b3), "impossible edge count")
 	// n=0 with a huge m: must be rejected, not wrap negative and skip the
 	// consistency check.
 	var b3b bytes.Buffer
-	b3b.WriteString(formatV2)
+	b3b.WriteString(formatV3)
 	put(&b3b, 0)     // n
 	put(&b3b, 0)     // maxTruss
 	put(&b3b, 1<<63) // m
-	expectCorrupt(t, b3b.Bytes(), "n=0 with nonzero m")
+	expectCorrupt(t, sealed(&b3b), "n=0 with nonzero m")
 	// Declared m disagreeing with the adjacency.
 	var b4 bytes.Buffer
-	b4.WriteString(formatV2)
+	b4.WriteString(formatV3)
 	put(&b4, 2) // n
 	put(&b4, 2) // maxTruss
 	put(&b4, 0) // m: claims empty, adjacency below has one edge
@@ -67,10 +75,10 @@ func TestReadFromRejectsCorruptHeaders(t *testing.T) {
 	put(&b4, 1) // deg(1)
 	put(&b4, 0) // neighbor 0
 	put(&b4, 2) // truss 2
-	expectCorrupt(t, b4.Bytes(), "edge-count mismatch")
+	expectCorrupt(t, sealed(&b4), "edge-count mismatch")
 	// Asymmetric adjacency: vertex 1 lists 0, vertex 0 lists nothing.
 	var b5 bytes.Buffer
-	b5.WriteString(formatV2)
+	b5.WriteString(formatV3)
 	put(&b5, 2) // n
 	put(&b5, 2) // maxTruss
 	put(&b5, 1) // m
@@ -78,24 +86,22 @@ func TestReadFromRejectsCorruptHeaders(t *testing.T) {
 	put(&b5, 1) // deg(1)
 	put(&b5, 0) // neighbor 0
 	put(&b5, 2) // truss 2
-	expectCorrupt(t, b5.Bytes(), "asymmetric adjacency")
+	expectCorrupt(t, sealed(&b5), "asymmetric adjacency")
 	// Degree exceeding the vertex count: must fail fast, not drain the input.
 	var b6 bytes.Buffer
-	b6.WriteString(formatV2)
+	b6.WriteString(formatV3)
 	put(&b6, 2)     // n
 	put(&b6, 2)     // maxTruss
 	put(&b6, 1)     // m
 	put(&b6, 1<<40) // deg(0)
-	expectCorrupt(t, b6.Bytes(), "absurd degree")
+	expectCorrupt(t, sealed(&b6), "absurd degree")
 }
 
-// TestReadFromVersions pins the version dispatch: v1 payloads (no edge
-// count, no trailer) and v2 payloads (no trailer) stay readable, unknown
-// versions are rejected with a version error rather than a generic bad-magic
-// one, and non-CTCIDX input is bad magic.
+// TestReadFromVersions pins the version dispatch: WriteTo emits version 3
+// and ReadFrom reads it back; every other version — the retired 1 and 2 and
+// an unknown future 9 — is rejected with ErrUnsupportedVersion rather than a
+// generic bad-magic one, and non-CTCIDX input is bad magic.
 func TestReadFromVersions(t *testing.T) {
-	// A valid two-triangle serialization: 4 vertices, edges (0,1) (0,2)
-	// (1,2) (1,3) (2,3), all trussness 3.
 	ix := Build(paperGraph())
 	var v3 bytes.Buffer
 	if _, err := ix.WriteTo(&v3); err != nil {
@@ -105,55 +111,26 @@ func TestReadFromVersions(t *testing.T) {
 	if string(raw[:len(formatV3)]) != formatV3 {
 		t.Fatalf("WriteTo emitted header %q", raw[:len(formatV3)])
 	}
-	// Strip the CRC trailer; what remains after the header is the shared
-	// varint payload of v2/v3.
-	payload := raw[len(formatV3) : len(raw)-4]
-
-	// v2 = v2 header + payload.
-	var v2 bytes.Buffer
-	v2.WriteString(formatV2)
-	v2.Write(payload)
-	back, err := ReadFrom(&v2)
+	back, err := ReadFrom(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("v2 payload rejected: %v", err)
+		t.Fatalf("v3 snapshot rejected: %v", err)
 	}
 	if back.Graph().M() != ix.Graph().M() || back.MaxTruss() != ix.MaxTruss() {
-		t.Fatal("v2 round-trip mismatch")
+		t.Fatal("v3 round-trip mismatch")
 	}
 
-	// v1 = v1 header + payload minus the m varint.
-	br := bytes.NewReader(payload)
-	n, _ := binary.ReadUvarint(br)
-	mt, _ := binary.ReadUvarint(br)
-	m, _ := binary.ReadUvarint(br)
-	var v1 bytes.Buffer
-	v1.WriteString(formatV1)
-	put(&v1, n)
-	put(&v1, mt)
-	v1.Write(payload[len(payload)-br.Len():])
-	if int(m) != ix.Graph().M() {
-		t.Fatalf("decoded m=%d, index has %d", m, ix.Graph().M())
-	}
-	back, err = ReadFrom(&v1)
-	if err != nil {
-		t.Fatalf("v1 payload rejected: %v", err)
-	}
-	if back.Graph().M() != ix.Graph().M() || back.MaxTruss() != ix.MaxTruss() {
-		t.Fatal("v1 round-trip mismatch")
-	}
-
-	// Unknown future version: clear version error, and NOT ErrCorrupt (the
-	// file may be fine — this reader is just too old for it).
-	var future bytes.Buffer
-	future.WriteString("CTCIDX9\n")
-	put(&future, 0)
-	put(&future, 0)
-	_, err = ReadFrom(&future)
-	if err == nil || !strings.Contains(err.Error(), "unsupported index format version") {
-		t.Fatalf("future version error = %v, want unsupported-version", err)
-	}
-	if errors.Is(err, ErrCorrupt) {
-		t.Fatalf("unsupported version wrongly classified as corrupt: %v", err)
+	// Other versions: a version error, and NOT ErrCorrupt (the file may be
+	// fine — this reader just does not decode it). The payload is v3's, so
+	// only the header decides.
+	for _, version := range []string{"1", "2", "9"} {
+		old := append([]byte(magicPrefix+version+"\n"), raw[len(formatV3):]...)
+		_, err = ReadFrom(bytes.NewReader(old))
+		if !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("version %s error = %v, want ErrUnsupportedVersion", version, err)
+		}
+		if errors.Is(err, ErrCorrupt) {
+			t.Fatalf("version %s wrongly classified as corrupt: %v", version, err)
+		}
 	}
 
 	// Garbage: bad magic.

@@ -26,12 +26,11 @@ func ReadPoolStats() (acquires, fresh, releases int64) {
 
 // Workspace is the pooled per-query scratch of an Index: epoch-stamped
 // visit marks and value arrays, a stamped union-find, reusable BFS queues
-// and level buckets, and the PeelScratch of the indexed graph (resettable
-// shell overlays, the dense per-edge buffers of the peeling loops). All
-// resets are O(touched) — an epoch bump for the stamps, touched-word
+// and level buckets, and two resettable shell overlays of the indexed graph.
+// All resets are O(touched) — an epoch bump for the stamps, touched-word
 // clearing for the shells — so steady-state queries neither allocate nor
-// scan O(n + m). An LCTC query also borrows an Expansion, which is pooled
-// apart from any index.
+// scan O(n + m). A query that peels also borrows an Expansion, which holds
+// the graph it peels and is pooled apart from any index.
 //
 // Ownership rules:
 //   - A Workspace belongs to the Index that created it and must only be
@@ -39,9 +38,10 @@ func ReadPoolStats() (acquires, fresh, releases int64) {
 //     query against it).
 //   - A Workspace serves one query at a time; concurrent queries each
 //     acquire their own (AcquireWorkspace is cheap after warm-up).
-//   - Query results never alias workspace storage: anything returned to the
-//     caller is freshly allocated, so releasing the workspace — or issuing
-//     the next query — cannot corrupt earlier results.
+//   - What a method returns in workspace storage (FindG0W's and
+//     FindKTrussW's Expansion, Shell's overlays) is valid until the next
+//     query on the workspace or its Release; core.Search copies its answer
+//     out before either.
 //   - Release returns the workspace to the pool; using it afterwards is a
 //     data race.
 type Workspace struct {
@@ -70,18 +70,18 @@ type Workspace struct {
 	// lists). Code that grows them must store the grown slice back.
 	QueueA, QueueB []int32
 
-	// Victims and Hist are the peeling loop's per-iteration victim list and
-	// per-level query-distance history.
+	// Victims is a reusable vertex or edge list (a peel round's victims).
 	Victims []int
-	Hist    []int32
-
-	// Peel is the peeling scratch sized by the indexed graph.
-	Peel PeelScratch
 
 	// Maintain is the reusable scratch of the k-truss maintenance cascade.
 	Maintain truss.MaintainScratch
 
-	// expansion is the LCTC scratch borrowed by Expansion, nil until then.
+	// shells are resettable overlays of the indexed graph, handed out
+	// round-robin by Shell.
+	shells   [2]*graph.Mutable
+	shellCur int
+
+	// expansion is the peel scratch borrowed by Expansion, nil until then.
 	expansion *Expansion
 
 	// dsu is the stamped union-find of FindG0.
@@ -112,7 +112,6 @@ func (ix *Index) AcquireWorkspace() *Workspace {
 	n := ix.g.N()
 	return &Workspace{
 		ix:     ix,
-		Peel:   PeelScratch{g: ix.g},
 		StampA: graph.NewStamp(n),
 		StampB: graph.NewStamp(n),
 		StampC: graph.NewStamp(n),
@@ -175,102 +174,96 @@ const cancelCheckInterval = 1 << 12
 // Index returns the owning index.
 func (ws *Workspace) Index() *Index { return ws.ix }
 
-// Shell returns an empty resettable edge-bitset overlay of the indexed
-// graph; see PeelScratch.Shell for how many may be held at once.
-func (ws *Workspace) Shell() *graph.Mutable { return ws.Peel.Shell() }
-
-// PeelScratch is the part of a query's scratch that is sized by the graph
-// being peeled, not by the index: overlays of that graph and its dense
-// per-edge and per-vertex buffers. A Workspace has one for the indexed graph
-// (Basic, BulkDelete and everything that assembles subgraphs of it); an
-// Expansion has one for its compact graph. Buffers appear on first use and
-// follow the graph when a rebuilt Compact changes size.
-type PeelScratch struct {
-	g *graph.Graph
-
-	// shells are resettable overlays of g, handed out round-robin by Shell.
-	shells   [2]*graph.Mutable
-	shellCur int
-	// cloneBuf backs CloneOf.
-	cloneBuf *graph.Mutable
-
-	edgeStamp    *graph.Stamp
-	edgeVal, sup []int32
-	sumDist      []int64
-}
-
-// Shell returns an empty resettable overlay of the graph. Two shells are
-// kept and handed out alternately, matching the worst simultaneous need of
-// the query paths (e.g. greedyPeel's reconstruction overlay while the graph
-// it peels is still parked in the other); a third concurrent request would
+// Shell returns an empty resettable overlay of the indexed graph. Two
+// shells are kept and handed out alternately, matching the worst
+// simultaneous need of the query paths; a third concurrent request would
 // reset the oldest shell, so callers must not hold more than two at once.
-func (p *PeelScratch) Shell() *graph.Mutable {
-	i := p.shellCur & 1
-	p.shellCur++
-	if p.shells[i] == nil {
-		p.shells[i] = graph.NewResettableShell(p.g)
+func (ws *Workspace) Shell() *graph.Mutable { return nextShell(&ws.shells, &ws.shellCur, ws.ix.g) }
+
+// nextShell resets and returns the older of two pooled shells over g,
+// creating it on first use.
+func nextShell(shells *[2]*graph.Mutable, cur *int, g *graph.Graph) *graph.Mutable {
+	i := *cur & 1
+	*cur++
+	if shells[i] == nil {
+		shells[i] = graph.NewResettableShell(g)
 	} else {
-		p.shells[i].Reset(p.g)
+		shells[i].Reset(g)
 	}
-	return p.shells[i]
+	return shells[i]
 }
 
-// CloneOf returns a destructive working copy of mu, an overlay of the
-// graph, in the pooled clone buffer.
-func (p *PeelScratch) CloneOf(mu *graph.Mutable) *graph.Mutable {
-	if p.cloneBuf == nil {
-		p.cloneBuf = graph.NewMutableShell(p.g)
-	}
-	mu.CloneInto(p.cloneBuf)
-	return p.cloneBuf
-}
-
-// EdgeScratch returns the per-edge stamp, value and support buffers, each
-// covering the graph's edge IDs.
-func (p *PeelScratch) EdgeScratch() (*graph.Stamp, []int32, []int32) {
-	if m := p.g.M(); p.edgeStamp == nil || p.edgeStamp.Len() < m {
-		p.edgeStamp = graph.NewStamp(m)
-		p.edgeVal = make([]int32, m)
-		p.sup = make([]int32, m)
-	}
-	return p.edgeStamp, p.edgeVal, p.sup
-}
-
-// SumDist returns the per-vertex int64 buffer of the §5.2 peeling tie-break
-// (Σ_q dist(v, q)).
-func (p *PeelScratch) SumDist() []int64 {
-	if n := p.g.N(); len(p.sumDist) < n {
-		p.sumDist = make([]int64, n)
-	}
-	return p.sumDist
-}
-
-// Expansion is the scratch of the part of an LCTC query that runs after the
-// seed: the η-bounded expansion as a compact relabelled graph, the storage of
-// its capped decomposition, and the PeelScratch of that graph. Nothing in it
-// is sized by the index — η bounds all of it — so it is pooled process-wide
-// and survives the epoch publishes that retire an index together with its
-// workspace pool.
+// Expansion is the scratch of the part of a query that peels: the graph it
+// peels as a compact relabelled graph — G0 for Basic, BulkDelete and
+// TrussOnly (FindG0W, FindKTrussW), the η-bounded expansion for LCTC — the
+// storage of its capped decomposition, and the peel's overlays and dense
+// per-edge and per-vertex buffers. Nothing in it is sized by the index — the
+// graph it holds bounds all of it — so it is pooled process-wide and survives
+// the epoch publishes that retire an index together with its workspace pool.
 type Expansion struct {
 	graph.Compact
 	// Decompose backs truss.DecomposeCapped on the compact graph.
 	Decompose truss.Scratch
-	// Peel is the peeling scratch of the compact graph.
-	Peel PeelScratch
-	// Q holds the query in local vertex IDs.
+	// Q holds the query in local vertex IDs (SetQuery).
 	Q []int
+	// Hist, Cut and Removed are the peel's logs: the graph query distance of
+	// each round, how many edges Removed held when it was measured, and the
+	// edges deleted, in deletion order. Code that grows them must store the
+	// grown slice back.
+	Hist, Cut, Removed []int32
+
+	shells   [2]*graph.Mutable
+	shellCur int
+	whole    *graph.Mutable
+	sup      []int32
+	sumDist  []int64
+}
+
+// SetQuery records q, in source vertex IDs, as x.Q in local ones.
+func (x *Expansion) SetQuery(q []int) {
+	x.Q = x.Q[:0]
+	for _, v := range q {
+		x.Q = append(x.Q, x.Local(v))
+	}
+}
+
+// Shell returns an empty resettable overlay of the compact graph; see
+// Workspace.Shell for how many may be held at once.
+func (x *Expansion) Shell() *graph.Mutable { return nextShell(&x.shells, &x.shellCur, &x.G) }
+
+// Whole returns an overlay holding all of the compact graph, for a peel to
+// delete from. It is one pooled overlay, refilled by every call.
+func (x *Expansion) Whole() *graph.Mutable {
+	if x.whole == nil {
+		x.whole = graph.NewMutableShell(&x.G)
+	} else {
+		x.whole.Reset(&x.G)
+	}
+	x.whole.Fill()
+	return x.whole
+}
+
+// PeelBuffers returns the per-edge support buffer and the per-vertex
+// Σ_q dist(v, q) buffer of the §5.2 tie-break, covering the compact graph.
+func (x *Expansion) PeelBuffers() ([]int32, []int64) {
+	if m := x.G.M(); len(x.sup) < m {
+		x.sup = make([]int32, m)
+	}
+	if n := x.G.N(); len(x.sumDist) < n {
+		x.sumDist = make([]int64, n)
+	}
+	return x.sup, x.sumDist
 }
 
 var expansions sync.Pool // *Expansion
 
-// Expansion returns the LCTC scratch of the query running on ws, borrowing
+// Expansion returns the peel scratch of the query running on ws, borrowing
 // it from the process-wide pool on first use; Release hands it back.
 func (ws *Workspace) Expansion() *Expansion {
 	if ws.expansion == nil {
 		x, ok := expansions.Get().(*Expansion)
 		if !ok {
 			x = new(Expansion)
-			x.Peel.g = &x.G
 		}
 		ws.expansion = x
 	}

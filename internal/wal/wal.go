@@ -78,10 +78,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size.
 	// Default 4 MiB.
 	SegmentBytes int64
-	// NoSync makes Sync a no-op: appends stay in the page cache at the
-	// kernel's mercy. Crash durability is forfeited — this exists to
-	// measure fsync cost, not for serving.
-	NoSync bool
 }
 
 func (o Options) withDefaults() Options {
@@ -374,8 +370,7 @@ func (l *Log) Append(seq uint64, batch []Update) error {
 }
 
 // Sync group-commits: one fsync covers every record appended since the
-// previous Sync. After it returns, those records survive a crash. With
-// Options.NoSync it only advances the bookkeeping.
+// previous Sync. After it returns, those records survive a crash.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -386,15 +381,13 @@ func (l *Log) syncLocked() error {
 	if l.active == nil || l.pendingSeq == 0 {
 		return nil
 	}
-	if !l.opts.NoSync {
-		t0 := time.Now()
-		if err := l.active.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-		l.lastSync = time.Since(t0)
-		if l.syncObs != nil {
-			l.syncObs(l.lastSync)
-		}
+	t0 := time.Now()
+	if err := l.active.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
+	}
+	l.lastSync = time.Since(t0)
+	if l.syncObs != nil {
+		l.syncObs(l.lastSync)
 	}
 	l.syncs++
 	if l.pendingSeq > l.durableSeq {

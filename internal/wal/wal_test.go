@@ -411,36 +411,6 @@ func TestShortWriteDetected(t *testing.T) {
 	}
 }
 
-// TestNoSyncMode: appends replay without any fsync having run (clean close
-// still flushes); the trade-off is crash durability, which MemFS shows by
-// losing everything unsynced.
-func TestNoSyncMode(t *testing.T) {
-	fs := NewMemFS()
-	dir := t.TempDir()
-	l, err := Open(dir, Options{FS: fs, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(1, batch(up(OpAdd, 1, 2))); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(); err != nil { // bookkeeping only
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.DurableSeq != 1 {
-		t.Fatalf("NoSync bookkeeping: durable %d", st.DurableSeq)
-	}
-	fs.Crash()
-	l2, err := Open(dir, Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if got := replayAll(t, l2, 0); len(got) != 0 {
-		t.Fatalf("NoSync data survived a crash: %+v", got)
-	}
-}
-
 // TestCheckpointAtomicity: crash at every single filesystem operation of
 // WriteCheckpoint; after each crash the directory must hold either the old
 // checkpoint set or the new one — never a half-written file under the
