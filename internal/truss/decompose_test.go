@@ -1,8 +1,12 @@
 package truss
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -208,6 +212,51 @@ func TestDecomposeDifferentialVsNaive(t *testing.T) {
 	}
 	if cases < 50 {
 		t.Fatalf("differential coverage shrank to %d cases, want >= 50", cases)
+	}
+}
+
+// labelsLine renders one line of testdata/network_labels.txt: the network,
+// its size, its maximum trussness and an FNV-1a hash of the Truss array.
+func labelsLine(name string, d *Decomposition) string {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, k := range d.Truss {
+		binary.LittleEndian.PutUint32(buf[:], uint32(k))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%s n=%d m=%d max_truss=%d truss_fnv=%016x", name, d.G.N(), d.G.M(), d.MaxTruss, h.Sum64())
+}
+
+// TestDecomposeNetworkLabels pins the labels of the serial and the parallel
+// decomposition on three registry networks to testdata/network_labels.txt.
+// The differential corpus holds graphs of a few hundred vertices; these are
+// the graphs the servers decompose at start-up, large enough for every branch
+// of the peel's bookkeeping to run many times.
+func TestDecomposeNetworkLabels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the facebook, dblp and orkut networks")
+	}
+	raw, err := os.ReadFile("testdata/network_labels.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	names := []string{"facebook", "dblp", "orkut"}
+	if len(want) != len(names) {
+		t.Fatalf("label table has %d lines, want %d", len(want), len(names))
+	}
+	for i, name := range names {
+		nw, err := gen.NetworkByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := nw.Graph()
+		if got := labelsLine(name, Decompose(g)); got != want[i] {
+			t.Errorf("Decompose:\n got  %s\n want %s", got, want[i])
+		}
+		if got := labelsLine(name, decomposeParallel(g, 2)); got != want[i] {
+			t.Errorf("decomposeParallel(g, 2):\n got  %s\n want %s", got, want[i])
+		}
 	}
 }
 
