@@ -58,8 +58,31 @@ func DifferentialCorpus() []CorpusGraph {
 		CorpusGraph{"clique-chain-3xk8", cliqueChain(3, 8)},
 		CorpusGraph{"star-of-cliques", starOfCliques(5, 6)},
 		CorpusGraph{"paper-fig1a", paperFigure1a()},
+		// A hub at either end of the ID order, and a community of 260 around
+		// a hub: the support pass orients every edge by (degree, ID) rank, so
+		// a hub's arcs point inward whichever ID it has, and the peel marks a
+		// hub once per run of its edges and compacts its arcs as they die.
+		CorpusGraph{"hub-lowest-id", withHub(ErdosRenyi(40, 0.2, 0x4B01), true)},
+		CorpusGraph{"hub-highest-id", withHub(ErdosRenyi(40, 0.2, 0x4B02), false)},
+		CorpusGraph{"hub260-community", withHub(ErdosRenyi(260, 0.05, 0x4B03), true)},
 	)
 	return cases
+}
+
+// withHub returns g plus one vertex adjacent to every other, numbered 0
+// (the others shift up by one) when lowest is set and g.N() otherwise.
+func withHub(g *graph.Graph, lowest bool) *graph.Graph {
+	n := g.N()
+	shift, hub := 0, n
+	if lowest {
+		shift, hub = 1, 0
+	}
+	b := graph.NewBuilder(n+1, g.M()+n)
+	g.ForEachEdge(func(u, v int) { b.AddEdge(u+shift, v+shift) })
+	for v := 0; v < n; v++ {
+		b.AddEdge(hub, v+shift)
+	}
+	return b.Build()
 }
 
 // Rowed returns a twin of g built through graph.Compact with every vertex

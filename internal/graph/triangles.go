@@ -2,130 +2,35 @@ package graph
 
 import (
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // EdgeSupports computes sup(e) = number of triangles containing e, for every
-// edge of the immutable graph, by intersecting the sorted adjacency lists of
-// each edge's endpoints. The result is indexed by dense edge ID.
+// edge of the immutable graph, with the support pass of a Peel. The result
+// is indexed by dense edge ID.
 func EdgeSupports(g *Graph) []int32 {
-	sup := make([]int32, g.M())
-	supportRange(g, sup, 0, g.N())
-	return sup
-}
-
-// supportRange fills sup[e] for every edge (u, v) with u in [lo, hi) and
-// u < v. Each edge is owned by its smaller endpoint, so disjoint vertex
-// ranges write disjoint entries.
-func supportRange(g *Graph, sup []int32, lo, hi int) {
-	if r := g.rows; r != nil {
-		for u := lo; u < hi; u++ {
-			ids := g.NeighborEdgeIDs(u)
-			for i, w := range g.Neighbors(u) {
-				if int(w) > u {
-					sup[ids[i]] = countCommonRows(r.row(u), r.row(int(w)))
-				}
-			}
-		}
-		return
-	}
-	for u := lo; u < hi; u++ {
-		nb := g.Neighbors(u)
-		ids := g.NeighborEdgeIDs(u)
-		for i, w := range nb {
-			if int(w) > u {
-				sup[ids[i]] = int32(countCommonSorted(nb, g.Neighbors(int(w))))
-			}
-		}
-	}
-}
-
-// parallelSupportThreshold is the edge count below which the goroutine
-// fan-out of EdgeSupportsParallel costs more than it saves.
-const parallelSupportThreshold = 1 << 14
-
-// EdgeSupportsParallel computes EdgeSupports with the per-vertex work
-// sharded over GOMAXPROCS goroutines (work-stealing over vertex blocks, like
-// DiameterParallel). Used by truss.Decompose for the initial counting pass.
-func EdgeSupportsParallel(g *Graph) []int32 {
-	return EdgeSupportsInto(g, make([]int32, g.M()))
-}
-
-// EdgeSupportsInto is EdgeSupportsParallel writing into a caller (typically
-// pooled) buffer of length >= g.M(); every entry of the result is written.
-func EdgeSupportsInto(g *Graph, sup []int32) []int32 {
-	sup = sup[:g.M()]
-	if g.M() < parallelSupportThreshold {
-		supportRange(g, sup, 0, g.N())
-		return sup
-	}
-	workers := runtime.GOMAXPROCS(0)
-	const block = 256
-	nblocks := (g.N() + block - 1) / block
-	if workers > nblocks {
-		workers = nblocks
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				bi := int(atomic.AddInt64(&next, 1))
-				if bi >= nblocks {
-					return
-				}
-				lo := bi * block
-				hi := lo + block
-				if hi > g.N() {
-					hi = g.N()
-				}
-				supportRange(g, sup, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	return sup
-}
-
-// countCommonRows is countCommonSorted over two bit rows of equal length.
-func countCommonRows(a, b []uint64) int32 {
-	c := 0
-	for i, word := range a {
-		c += bits.OnesCount64(word & b[i])
-	}
-	return int32(c)
-}
-
-func countCommonSorted(a, b []int32) int {
-	i, j, c := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
+	var p Peel
+	return p.supports(g, make([]int32, g.M()))
 }
 
 // TriangleCount returns the total number of triangles in g. Each triangle is
 // counted once.
 func TriangleCount(g *Graph) int64 {
 	var total int64
-	g.ForEachEdge(func(u, v int) {
-		total += int64(countCommonSorted(g.Neighbors(u), g.Neighbors(v)))
-	})
+	for _, s := range EdgeSupports(g) {
+		total += int64(s)
+	}
 	return total / 3
+}
+
+// countCommonRows counts the common neighbours of two vertices of a graph
+// with bit rows: the popcount of their rows ANDed.
+func countCommonRows(a, b []uint64) int32 {
+	c := 0
+	for i, word := range a {
+		c += bits.OnesCount64(word & b[i])
+	}
+	return int32(c)
 }
 
 // MutableEdgeSupports computes per-edge supports for the current state of an

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -95,17 +96,28 @@ func TestMutableSupportsMatchImmutable(t *testing.T) {
 	}
 }
 
-func TestEdgeSupportsParallelMatchesSequential(t *testing.T) {
-	// Force the parallel path by exceeding the small-graph threshold.
-	g := randomGraph(11, 260, 0.55)
-	if g.M() < parallelSupportThreshold {
-		t.Fatalf("test graph too small to exercise parallel path: m=%d", g.M())
+func TestEdgeSupportsMatchMerge(t *testing.T) {
+	// Dense and sparse random graphs, a clique (every rank decided by ID),
+	// and a hub over a small clique with the lowest and then the highest
+	// vertex ID: the (degree, ID) rank orients every hub arc inward both
+	// times, where an ID order would flip them.
+	hub := func(h int) *Graph {
+		b := NewBuilder(40, 0)
+		for v := 0; v < 40; v++ {
+			if v != h {
+				b.AddEdge(h, v)
+			}
+		}
+		for u := 1; u < 8; u++ {
+			for v := u + 1; v < 8; v++ {
+				b.AddEdge(u, v)
+			}
+		}
+		return b.Build()
 	}
-	seq := EdgeSupports(g)
-	par := EdgeSupportsParallel(g)
-	for e := range seq {
-		if seq[e] != par[e] {
-			t.Fatalf("edge %d: parallel sup %d, sequential %d", e, par[e], seq[e])
+	for i, g := range []*Graph{randomGraph(11, 260, 0.55), randomGraph(12, 200, 0.05), hub(0), hub(39), completeGraph(9)} {
+		if got, want := EdgeSupports(g), MutableEdgeSupports(NewMutable(g, nil)); !slices.Equal(got, want) {
+			t.Fatalf("graph %d: forward supports %v, merge %v", i, got, want)
 		}
 	}
 }

@@ -10,7 +10,11 @@
 // All hot paths run over flat arrays indexed by the graph's dense edge IDs:
 // supports and trussness are []int32, the peeling queue is the standard
 // bucket array with position swaps (the same O(1) decrease-key structure
-// used for core decomposition), and edge liveness is a bitset. DecomposeNaive
+// used for core decomposition), and edge liveness is a bitset. The triangle
+// work of a decomposition is graph.Peel's: on a graph without bit rows the
+// supports cost O(m^1.5) and each peeled edge at most twice the live degrees
+// of its endpoints at the time it is peeled; a small per-query graph with
+// rows pays an n/64-word AND per edge instead. DecomposeNaive
 // retains the original map-based implementation as a differential-testing
 // oracle.
 package truss
@@ -37,9 +41,12 @@ type Decomposition struct {
 
 // Decompose computes the truss decomposition of g by peeling edges in
 // non-decreasing support order, cascading support decrements through the
-// triangles of each removed edge. The initial support pass is parallel; the
-// peel itself is the array-based bucket queue, O(m) space and
-// O(Σ min(deg u, deg v)) triangle work.
+// triangles of each removed edge. It is serial and takes O(m) space. The
+// supports come from a forward triangle listing, O(m^1.5); the peel finds
+// the triangles of an edge (u, v) from marks on one endpoint over adjacency
+// lists that shed their dead arcs, O(d(u) + d(v)) with d the live degrees at
+// the time, or O(d) of one endpoint when the other's marks are still set
+// from the edge before.
 func Decompose(g *graph.Graph) *Decomposition {
 	d, _ := decompose(g, 0, nil, nil)
 	return d
@@ -65,13 +72,14 @@ func DecomposeCapped(g *graph.Graph, capK int32, poll func() error, sc *Scratch)
 }
 
 // Scratch is the reusable working storage of one decomposition: the support
-// array, the bucket queue, the liveness overlay and the label arrays.
+// array, the bucket queue, the label arrays and the graph.Peel that holds
+// liveness, marks and the peel's own copy of the adjacency.
 // Nothing in it is tied to a particular graph; the zero value is ready to
 // use.
 type Scratch struct {
 	sup, order, pos, binStart, next []int32
 	truss, vertexTruss              []int32
-	live                            *graph.Mutable
+	live                            graph.Peel
 }
 
 // buf returns *p resized to n, reusing its storage when it can.
@@ -90,9 +98,9 @@ func buf(p *[]int32, n int) []int32 {
 // is min(τ, capK) everywhere. sc == nil allocates everything fresh, and the
 // result then owns its arrays.
 //
-// Liveness is a full overlay of g, so the triangles of a peeled edge come
-// from whichever kernel the graph has — a merge of two adjacency lists, or
-// the AND of two live bit rows on a small per-query graph.
+// Liveness is a graph.Peel of g, so the supports and the triangles of a
+// peeled edge come from whichever kernel the graph has: forward listing and
+// marked neighbours, or the AND of two bit rows on a small per-query graph.
 func decompose(g *graph.Graph, capK int32, poll func() error, sc *Scratch) (*Decomposition, error) {
 	if sc == nil {
 		sc = new(Scratch)
@@ -107,7 +115,8 @@ func decompose(g *graph.Graph, capK int32, poll func() error, sc *Scratch) (*Dec
 	if m == 0 {
 		return d, nil
 	}
-	sup := graph.EdgeSupportsInto(g, buf(&sc.sup, m))
+	live := &sc.live
+	sup := live.Reset(g, buf(&sc.sup, m))
 	maxSup := int32(0)
 	for _, s := range sup {
 		if s > maxSup {
@@ -137,13 +146,6 @@ func decompose(g *graph.Graph, capK int32, poll func() error, sc *Scratch) (*Dec
 		order[p] = e
 		pos[e] = p
 	}
-	if sc.live == nil {
-		sc.live = graph.NewMutableShell(g)
-	} else {
-		sc.live.Reset(g)
-	}
-	live := sc.live
-	live.Fill()
 	// One closure for the whole peel; se is the support of the edge being
 	// peeled.
 	var se int32
@@ -174,9 +176,7 @@ func decompose(g *graph.Graph, capK int32, poll func() error, sc *Scratch) (*Dec
 			level = se + 2
 		}
 		d.Truss[e] = level
-		live.DeleteEdgeByID(e)
-		u, v := g.EdgeEndpoints(e)
-		live.CommonNeighborsEdges(u, v, relax)
+		live.DeleteEdge(e, relax)
 	}
 	d.finishVertexTruss()
 	return d, nil

@@ -25,16 +25,56 @@ func bench50k(b *testing.B) *graph.Graph {
 	return benchGraph50k
 }
 
+// benchNetwork is the 50k yardstick for "50k" and otherwise a registry
+// network, so a retune of its parameters automatically retunes the
+// benchmarks that use it.
+func benchNetwork(b *testing.B, name string) *graph.Graph {
+	b.Helper()
+	if name == "50k" {
+		return bench50k(b)
+	}
+	nw, err := gen.NetworkByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return nw.Graph()
+}
+
+// sinkSupports keeps the compiler from discarding a benchmarked support pass.
+var sinkSupports []int32
+
+// BenchmarkDecompose times the serial cold decomposition on the shared 50k
+// yardstick and on the dblp and orkut analogues — orkut is the graph the
+// coldstart_hotcache workload decomposes at server start.
 func BenchmarkDecompose(b *testing.B) {
-	g := bench50k(b)
-	b.Logf("graph: n=%d m=%d", g.N(), g.M())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := Decompose(g)
-		if d.MaxTruss < 3 {
-			b.Fatal("unexpected decomposition")
-		}
+	for _, name := range []string{"50k", "dblp", "orkut"} {
+		b.Run(name, func(b *testing.B) {
+			g := benchNetwork(b, name)
+			b.Logf("graph: n=%d m=%d", g.N(), g.M())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := Decompose(g)
+				if d.MaxTruss < 3 {
+					b.Fatal("unexpected decomposition")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEdgeSupports times the support pass that starts every cold
+// decomposition.
+func BenchmarkEdgeSupports(b *testing.B) {
+	for _, name := range []string{"dblp", "orkut"} {
+		b.Run(name, func(b *testing.B) {
+			g := benchNetwork(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkSupports = graph.EdgeSupports(g)
+			}
+		})
 	}
 }
 
@@ -53,18 +93,6 @@ func BenchmarkDecomposeNaive(b *testing.B) {
 	}
 }
 
-// benchDBLP is the dblp analogue used for the cold-build comparison — the
-// registry's own network, so a retune of the dblp parameters automatically
-// retunes this benchmark.
-func benchDBLP(b *testing.B) *graph.Graph {
-	b.Helper()
-	nw, err := gen.NetworkByName("dblp")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return nw.Graph()
-}
-
 // BenchmarkDecomposeParallel sweeps the forced level-synchronous peel over
 // worker counts on the shared 50k-edge yardstick and on the dblp-scale
 // analogue. The w1 points isolate the algorithmic overhead of the
@@ -77,7 +105,7 @@ func BenchmarkDecomposeParallel(b *testing.B) {
 		g    *graph.Graph
 	}{
 		{"50k", bench50k(b)},
-		{"dblp", benchDBLP(b)},
+		{"dblp", benchNetwork(b, "dblp")},
 	} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/w%d", bg.name, workers), func(b *testing.B) {
@@ -89,21 +117,6 @@ func BenchmarkDecomposeParallel(b *testing.B) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// BenchmarkDecomposeSerialDBLP is the serial baseline on the same dblp-scale
-// graph, the denominator of the cold-build speedup ratio.
-func BenchmarkDecomposeSerialDBLP(b *testing.B) {
-	g := benchDBLP(b)
-	b.Logf("graph: n=%d m=%d", g.N(), g.M())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := Decompose(g)
-		if d.MaxTruss < 3 {
-			b.Fatal("unexpected decomposition")
 		}
 	}
 }

@@ -25,9 +25,10 @@ import (
 //
 // and every path must produce byte-identical labels. The capped peel
 // (DecomposeCapped, the LCTC per-query path) is held to min(label, cap) at
-// every cap, and the kernels underneath it and the maintenance cascade —
-// merging adjacency lists on a graph as a Builder makes it, intersecting bit
-// rows on the same graph as graph.Compact makes it — are held to each other
+// every cap, on a graph as a Builder makes it (forward support listing and
+// marked-neighbour peel) and on the same graph as graph.Compact makes it (bit
+// rows). The kernels underneath the maintenance cascade — merging adjacency
+// lists, intersecting bit rows — are held to each other and to those supports
 // (assertKernels). New decomposition implementations must be wired in here.
 
 // assertSameLabels requires byte-identical decompositions: same edge-ID
@@ -72,7 +73,7 @@ var errPollFired = errors.New("poll fired")
 
 func TestDifferentialAllDecompositionPaths(t *testing.T) {
 	cases := gen.DifferentialCorpus()
-	if len(cases) < 35 {
+	if len(cases) < 43 {
 		t.Fatalf("differential corpus shrank to %d cases", len(cases))
 	}
 	for _, tc := range cases {

@@ -25,8 +25,8 @@ const frontierBlock = 64
 // support edge at a time, each round removes the entire frontier of edges
 // whose support has dropped to the current level, sharding the frontier over
 // GOMAXPROCS goroutines that cascade support decrements through the dense
-// []int32 support array with atomic adds. The initial support pass is
-// graph.EdgeSupportsParallel. The result is identical to Decompose — both
+// []int32 support array with atomic adds. The initial support pass is the
+// serial graph.EdgeSupports. The result is identical to Decompose — both
 // compute the unique trussness labels — and the differential/fuzz harness in
 // this package cross-checks them edge for edge.
 //
@@ -75,7 +75,7 @@ func decomposeParallel(g *graph.Graph, workers int) *Decomposition {
 	if workers < 1 {
 		workers = 1
 	}
-	sup := graph.EdgeSupportsParallel(g)
+	sup := graph.EdgeSupports(g)
 	peeled := graph.NewBitset(m)
 	// inRound[e] == round marks e as a member of the frontier currently
 	// being peeled (round ids start at 1, so the zero value never matches).

@@ -111,8 +111,9 @@ func BuildFromDecomposition(g *graph.Graph, d *truss.Decomposition) *Index {
 // buildArcs fills off/nbr/nbrTruss/nbrEID from the base CSR and edgeTruss: a
 // per-vertex counting sort by trussness (descending, ties ascending neighbor
 // — the base runs are already neighbor-sorted and the sort is stable), O(m)
-// overall instead of the comparison sort's O(m log Δ). Vertex blocks are
-// sharded over goroutines for large graphs, like graph.EdgeSupportsParallel.
+// overall instead of the comparison sort's O(m log Δ). From
+// parallelBuildThreshold arcs up, GOMAXPROCS goroutines take 256-vertex
+// blocks from a shared counter.
 func (ix *Index) buildArcs() {
 	g := ix.g
 	n := g.N()
