@@ -49,7 +49,7 @@ func TestSearchDispatchZeroAllocOverhead(t *testing.T) {
 		runs   int
 		budget float64
 	}{
-		{AlgoLCTC, 50, 24},
+		{AlgoLCTC, 50, 22},
 		{AlgoBasic, 10, 7},
 		{AlgoTrussOnly, 50, 7},
 	} {

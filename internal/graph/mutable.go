@@ -14,9 +14,9 @@ import (
 //
 // Edges outside the base graph can still be added (AddEdge falls back to a
 // small per-vertex overflow list). A Mutable without overflow edges is
-// "overlay-pure"; the hot peeling paths (MutableEdgeSupports, MaintainKTruss)
-// require purity and panic otherwise — every subgraph they are fed is built
-// from base edges only.
+// "overlay-pure"; the hot peeling paths (MutableEdgeSupports,
+// truss.MaintainKTrussScratch) require purity and panic otherwise — every
+// subgraph they are fed is built from base edges only.
 type Mutable struct {
 	base    *Graph
 	alive   Bitset  // bit e set iff base edge e is present

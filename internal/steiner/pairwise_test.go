@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -14,7 +16,8 @@ import (
 
 // assertPairwiseMatchesExhaustive holds the query path's pairwise distances
 // against the exhaustive per-terminal DistancesFrom it replaced: the same
-// distance and the same realizing threshold for every terminal pair, and —
+// distance and the same realizing threshold for every terminal pair, or
+// ErrDisconnected exactly when some pair is at infinite distance, and —
 // feeding the exhaustive matrices through the rest of the build — the same
 // tree or the same error.
 func assertPairwiseMatchesExhaustive(t *testing.T, context string, ix *trussindex.Index, gamma float64, q []int) {
@@ -25,7 +28,7 @@ func assertPairwiseMatchesExhaustive(t *testing.T, context string, ix *trussinde
 	terms := dedupe(q)
 	r := len(terms)
 	dist, thr, err := m.pairDistances(terms, ws)
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("%s: pairDistances: %v", context, err)
 	}
 	wantDist := make([]float64, r*r)
@@ -39,7 +42,11 @@ func assertPairwiseMatchesExhaustive(t *testing.T, context string, ix *trussinde
 			wantDist[i*r+j], wantThr[i*r+j] = d[dst], bt[dst]
 		}
 	}
-	if !reflect.DeepEqual(dist, wantDist) || !reflect.DeepEqual(thr, wantThr) {
+	if err != nil {
+		if !slices.ContainsFunc(wantDist, func(d float64) bool { return math.IsInf(d, 1) }) {
+			t.Fatalf("%s: terminals %v: pairDistances %v, exhaustive dist %v", context, terms, err, wantDist)
+		}
+	} else if !reflect.DeepEqual(dist, wantDist) || !reflect.DeepEqual(thr, wantThr) {
 		t.Fatalf("%s: terminals %v\n pairwise   dist %v thr %v\n exhaustive dist %v thr %v",
 			context, terms, dist, thr, wantDist, wantThr)
 	}
@@ -90,6 +97,70 @@ func TestPairDistancesMatchExhaustive(t *testing.T) {
 			}
 		}
 	}
+	t.Run("dblp", pairDistancesDBLP)
+}
+
+// pairDistancesDBLP holds pairDistances to the exhaustive scan at real size,
+// on the dblp network: the 100 golden LCTC queries (2–4 vertices of one
+// ground-truth community) and 50 queries of 2–6 vertices split between two
+// communities, whose pairs meet at different bottleneck levels, each at
+// γ = 0 and γ = 3.
+func pairDistancesDBLP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the dblp network")
+	}
+	nw, err := gen.NetworkByName("dblp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := trussindex.Build(nw.Graph())
+	var qs [][]int
+	for _, gq := range gen.QueriesFromGroundTruth(gen.NewRNG(1), nw.GroundTruth(), 100, 2, 4) {
+		qs = append(qs, gq.Q)
+	}
+	comms := nw.GroundTruth()
+	rng := gen.NewRNG(0x2C0)
+	for len(qs) < 150 {
+		a, b := comms[rng.Intn(len(comms))], comms[rng.Intn(len(comms))]
+		size := 2 + rng.Intn(5)
+		q := sampleFrom(rng, a, (size+1)/2)
+		q = append(q, sampleFrom(rng, b, size/2)...)
+		if slices.Equal(a, b) || len(dedupe(q)) != size {
+			continue
+		}
+		qs = append(qs, q)
+	}
+	split := 0 // queries whose pairs meet at more than one bottleneck level
+	for i, q := range qs {
+		for _, gamma := range []float64{0, 3} {
+			assertPairwiseMatchesExhaustive(t, fmt.Sprintf("dblp/q%d/γ=%g", i, gamma), ix, gamma, q)
+		}
+		levels := map[int32]bool{}
+		for _, u := range q {
+			for _, v := range q {
+				if u != v {
+					levels[ix.ConnectLevel(u, v)] = true
+				}
+			}
+		}
+		if len(levels) > 1 {
+			split++
+		}
+	}
+	if split == 0 {
+		t.Fatal("no query has pairs at distinct bottleneck levels")
+	}
+	t.Logf("%d of %d queries have pairs at distinct bottleneck levels", split, len(qs))
+}
+
+// sampleFrom returns min(size, len(c)) distinct members of c.
+func sampleFrom(rng *gen.RNG, c []int, size int) []int {
+	size = min(size, len(c))
+	out := make([]int, size)
+	for i, j := range rng.Sample(len(c), size) {
+		out[i] = c[j]
+	}
+	return out
 }
 
 // TestPairDistancesPollsCancel pins the checkpoint inside the pairwise scan:

@@ -77,11 +77,6 @@ func BuildW(ix *trussindex.Index, q []int, gamma float64, ws *trussindex.Workspa
 // terminal-pair truss distances dist and their realizing thresholds thr.
 func (m *Metric) treeFromPairs(uniq []int, dist []float64, thr []int32, ws *trussindex.Workspace) (*Tree, error) {
 	r := len(uniq)
-	for _, d := range dist {
-		if math.IsInf(d, 1) {
-			return nil, ErrDisconnected
-		}
-	}
 	// Prim's MST over the complete terminal graph.
 	inTree := make([]bool, r)
 	best := make([]float64, r)

@@ -112,19 +112,31 @@ func (m *Metric) distancesInto(src int, dist []float64, bestT []int32, ws *truss
 
 // pairDistances returns the truss distance between every two of the distinct
 // terminals terms, and the threshold realizing it, as symmetric r×r row-major
-// matrices (diagonal 0; Inf and 0 for a disconnected pair) — the entries
-// DistancesFrom(terms[i]) holds at terms[j], at a cost bounded by how close
-// the terminals are instead of by the graph.
+// matrices (diagonal 0) — the entries DistancesFrom(terms[i]) holds at
+// terms[j], at a cost bounded by how close the terminals are instead of by
+// the graph — or ErrDisconnected, before any BFS, when the truss-level tree
+// says some pair is not connected at all.
 //
 // From each terminal the thresholds are scanned in the same descending order
 // with the same strict-< improvement, so ties between thresholds resolve
-// identically. The penalty only grows along the scan, which gives two stops:
-// a BFS ends once the next level (hop+1+penalty) cannot beat the worst
-// distance among the terminals it has not reached yet, and the scan ends at
-// the first threshold whose one-hop cost (1+penalty) cannot either. The
-// workspace cancel hook is polled once per threshold BFS.
+// identically. The tree gives each later terminal j its bottleneck level
+// lev[j], the largest t whose threshold subgraph connects it to the source;
+// a BFS at t reaches exactly the terminals with lev[j] ≥ t. With the penalty
+// only growing along the scan, that gives three stops: thresholds above
+// every lev[j] are skipped; a BFS ends once the next level (hop+1+penalty)
+// cannot beat the worst distance among the terminals it can still reach and
+// has not; and the scan ends at the first threshold whose one-hop cost
+// (1+penalty) cannot beat the worst distance among all the terminals after
+// the source. The workspace cancel hook is polled once per threshold BFS.
 func (m *Metric) pairDistances(terms []int, ws *trussindex.Workspace) (dist []float64, thr []int32, err error) {
 	r := len(terms)
+	// lev[j] is terminal j's bottleneck level with the current source.
+	lev := ws.CountBuf(r)
+	for j := 1; j < r; j++ {
+		if lev[j] = m.ix.ConnectLevel(terms[0], terms[j]); lev[j] == 0 {
+			return nil, nil, ErrDisconnected
+		}
+	}
 	dist = make([]float64, r*r)
 	thr = make([]int32, r*r)
 	for i := range dist {
@@ -145,7 +157,17 @@ func (m *Metric) pairDistances(terms []int, ws *trussindex.Workspace) (dist []fl
 	for i := 0; i+1 < r; i++ {
 		src := int32(terms[i])
 		row := dist[i*r : (i+1)*r]
+		top := int32(0)
+		for j := i + 1; j < r; j++ {
+			if i > 0 {
+				lev[j] = m.ix.ConnectLevel(terms[i], terms[j])
+			}
+			top = max(top, lev[j])
+		}
 		for _, t := range m.thresholds {
+			if t > top {
+				continue
+			}
 			if err := ws.Canceled(); err != nil {
 				ws.QueueA = queue
 				return nil, nil, err
@@ -155,13 +177,13 @@ func (m *Metric) pairDistances(terms []int, ws *trussindex.Workspace) (dist []fl
 			st.Set(src)
 			hop[src] = 0
 			queue = append(queue[:0], src)
-			// bound is the worst distance among the terminals after i that
-			// this BFS has not reached: only a level cheaper than it can
-			// still improve a pair.
-			bound := unreachedWorst(row, terms, i, st)
-			if 1+penalty >= bound {
+			if 1+penalty >= unreachedWorst(row, lev, terms, i, st, 0) {
 				break
 			}
+			// bound is the worst distance among the terminals after i that
+			// this BFS can reach and has not: only a level cheaper than it
+			// can still improve a pair.
+			bound := unreachedWorst(row, lev, terms, i, st, t)
 			for head := 0; head < len(queue); head++ {
 				v := queue[head]
 				hu := hop[v] + 1
@@ -183,7 +205,7 @@ func (m *Metric) pairDistances(terms []int, ws *trussindex.Workspace) (dist []fl
 						row[j], dist[j*r+i] = d, d
 						thr[i*r+j], thr[j*r+i] = t, t
 					}
-					bound = unreachedWorst(row, terms, i, st)
+					bound = unreachedWorst(row, lev, terms, i, st, t)
 				}
 			}
 		}
@@ -192,12 +214,12 @@ func (m *Metric) pairDistances(terms []int, ws *trussindex.Workspace) (dist []fl
 	return dist, thr, nil
 }
 
-// unreachedWorst returns the largest entry of row among the terminals after
-// i that st has not marked, or 0 when all of them are marked.
-func unreachedWorst(row []float64, terms []int, i int, st *graph.Stamp) float64 {
+// unreachedWorst returns the largest entry of row among the terminals j
+// after i with lev[j] >= t that st has not marked, or 0 when there are none.
+func unreachedWorst(row []float64, lev []int32, terms []int, i int, st *graph.Stamp, t int32) float64 {
 	worst := 0.0
 	for j := i + 1; j < len(terms); j++ {
-		if row[j] > worst && !st.Marked(int32(terms[j])) {
+		if row[j] > worst && lev[j] >= t && !st.Marked(int32(terms[j])) {
 			worst = row[j]
 		}
 	}

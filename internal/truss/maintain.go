@@ -4,25 +4,6 @@ import (
 	"repro/internal/graph"
 )
 
-// MaintainKTruss implements Algorithm 3 of the paper. It deletes the
-// vertices vd (and their incident edges) from mu, then iteratively removes
-// every edge whose support in the shrinking graph drops below k-2, updating
-// the dense support table sup (indexed by mu's base edge IDs) in place.
-// Finally it drops vertices left isolated.
-//
-// mu must be overlay-pure (all edges belong to its base graph); every
-// subgraph the search algorithms feed here is. The cascade is allocation-
-// light: the pending set is a bitset over base edge IDs and triangle
-// enumeration merge-scans the base CSR, so the steady state does no hashing.
-//
-// It returns the vertices removed (vd plus cascade victims) and the base
-// edge IDs of every edge deleted, so callers like Algorithm 1 can stamp an
-// exact deletion timeline (edge-level: an intermediate graph is not induced,
-// since the cascade can drop an edge while both endpoints survive).
-func MaintainKTruss(mu *graph.Mutable, sup []int32, k int32, vd []int) (removedVerts []int, removedEdges []int32) {
-	return MaintainKTrussScratch(mu, sup, k, vd, new(MaintainScratch))
-}
-
 // MaintainScratch holds the reusable state of the maintenance cascade: the
 // doomed-edge queue, its membership bitset (cleared by walking the queue, so
 // reuse is O(touched)), and the result buffers. A zero MaintainScratch is
@@ -40,8 +21,22 @@ func (s *MaintainScratch) grow(m int) {
 	}
 }
 
-// MaintainKTrussScratch is MaintainKTruss running on reusable scratch. The
-// returned slices alias the scratch and are valid until its next use.
+// MaintainKTrussScratch implements Algorithm 3 of the paper. It deletes the
+// vertices vd (and their incident edges) from mu, then iteratively removes
+// every edge whose support in the shrinking graph drops below k-2, updating
+// the dense support table sup (indexed by mu's base edge IDs) in place.
+// Finally it drops vertices left isolated.
+//
+// mu must be overlay-pure (all edges belong to its base graph); every
+// subgraph the search algorithms feed here is. The cascade is allocation-
+// light: the pending set is a bitset over base edge IDs, so the steady state
+// does no hashing.
+//
+// It returns the vertices removed (vd plus cascade victims) and the base
+// edge IDs of every edge deleted, so callers like Algorithm 1 can stamp an
+// exact deletion timeline (edge-level: an intermediate graph is not induced,
+// since the cascade can drop an edge while both endpoints survive). The
+// returned slices alias the scratch s and are valid until its next use.
 //
 // Isolated-vertex detection inspects only the deletion candidates — vd and
 // the endpoints of removed edges — rather than scanning every vertex, so a
@@ -50,7 +45,7 @@ func (s *MaintainScratch) grow(m int) {
 // plus query vertices) is not reported.
 func MaintainKTrussScratch(mu *graph.Mutable, sup []int32, k int32, vd []int, s *MaintainScratch) (removedVerts []int, removedEdges []int32) {
 	if !mu.OverlayPure() {
-		panic("truss: MaintainKTruss requires an overlay-pure Mutable")
+		panic("truss: MaintainKTrussScratch requires an overlay-pure Mutable")
 	}
 	base := mu.Base()
 	s.grow(base.M())

@@ -6,6 +6,12 @@ import (
 	"repro/internal/graph"
 )
 
+// MaintainKTruss is MaintainKTrussScratch on fresh scratch, the form the
+// tests call.
+func MaintainKTruss(mu *graph.Mutable, sup []int32, k int32, vd []int) (removedVerts []int, removedEdges []int32) {
+	return MaintainKTrussScratch(mu, sup, k, vd, new(MaintainScratch))
+}
+
 func TestMaintainPaperExample4(t *testing.T) {
 	// Example 4: on G0 (the grey 4-truss), deleting p1 forces p2, p3 out as
 	// well to restore the 4-truss property, yielding Figure 1(b).

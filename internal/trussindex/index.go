@@ -8,6 +8,12 @@
 // vertex's run sorted by descending edge trussness (the paper's "level
 // marks"), plus the vertex trussness and a dense edge→trussness array
 // indexed by the base graph's edge IDs.
+//
+// Beside it the index keeps a truss-level tree, a Kruskal reconstruction
+// tree of the edges in descending trussness, built with the index and never
+// serialized. ConnectLevel reads from it the largest k at which two vertices
+// share a connected k-truss component in O(#distinct τ) steps, so FindG0
+// learns k from the tree and then runs one BFS to build G0.
 package trussindex
 
 import (
@@ -49,6 +55,8 @@ type Index struct {
 	edgeTruss []int32
 	// thresholds caches the distinct trussness values, descending.
 	thresholds []int32
+	// tree is the truss-level tree (tree.go): nodes 0..n-1 are the vertices.
+	tree []treeNode
 
 	// free lists the released workspaces of this index. A plain list, not a
 	// sync.Pool: a Pool that has been used stays registered with the runtime
@@ -62,8 +70,9 @@ type Index struct {
 
 // Build constructs the index for g, running a truss decomposition first.
 // The decomposition is the level-synchronous parallel peel for graphs above
-// truss.ParallelThreshold edges (falling back to the serial bucket queue
-// below it), so cold index builds scale with GOMAXPROCS.
+// truss.ParallelThreshold edges (the serial bucket queue below it). It is
+// not faster than the serial truss.Decompose at any worker count measured;
+// it stays only until that peel is deleted.
 func Build(g *graph.Graph) *Index {
 	return BuildFromDecomposition(g, truss.DecomposeParallel(g))
 }
@@ -105,6 +114,7 @@ func BuildFromDecomposition(g *graph.Graph, d *truss.Decomposition) *Index {
 	}
 	ix.buildArcs()
 	ix.thresholds = ix.computeThresholds()
+	ix.buildTree()
 	return ix
 }
 
@@ -307,13 +317,12 @@ func (ix *Index) computeThresholds() []int32 {
 	return out
 }
 
-// FindG0W implements Algorithm 2: starting from the Lemma-1 level
-// k = min_q τ(q), it consumes edges in decreasing order of trussness,
-// expanding BFS-style from the query vertices, and stops at the first level
-// where the query vertices become connected. It returns G0, the connected
-// component containing Q of the k-truss, built as the compact graph of the
-// workspace's Expansion (valid until the workspace's next query), together
-// with k.
+// FindG0W implements Algorithm 2: it returns G0, the connected component
+// containing Q of the k-truss with the largest k that has one, built as the
+// compact graph of the workspace's Expansion (valid until the workspace's
+// next query), together with k. k comes from the truss-level tree: the
+// smallest ConnectLevel of q[0] with each query vertex, which is at most
+// min_q τ(q), the Lemma-1 bound. One FindKTrussW BFS then builds G0.
 func (ix *Index) FindG0W(q []int, ws *Workspace) (*Expansion, int32, error) {
 	if len(q) == 0 {
 		return nil, 0, errors.New("trussindex: empty query")
@@ -328,71 +337,12 @@ func (ix *Index) FindG0W(q []int, ws *Workspace) (*Expansion, int32, error) {
 	}
 	k := ix.vertexTruss[q[0]]
 	for _, v := range q[1:] {
-		if t := ix.vertexTruss[v]; t < k {
-			k = t
-		}
+		k = min(k, ix.ConnectLevel(q[0], v))
 	}
-	uf := ws.dsuReset()
-	// pos[v]: how many of v's trussness-sorted arcs have been consumed.
-	pos, posStamp := ws.ValA, ws.StampA.Next()
-	// scheduledAt[v] dedups level scheduling (levels strictly decrease per
-	// vertex); levels[l] holds vertices scheduled for processing at level l.
-	scheduledAt, schedStamp := ws.ValB, ws.StampB.Next()
-	levels := ws.levelQueues(k)
-	schedule := func(v int, l int32) {
-		if l < 2 || (ws.StampB.Mark[v] == schedStamp && scheduledAt[v] == l) {
-			return
-		}
-		ws.StampB.Mark[v] = schedStamp
-		scheduledAt[v] = l
-		levels[l] = append(levels[l], int32(v))
+	if k < 2 {
+		return nil, 0, ErrNoCommunity
 	}
-	for _, v := range q {
-		schedule(v, k)
-	}
-	for ; k >= 2; k-- {
-		// BFS within the level: processing a vertex may append newly
-		// discovered vertices to the same level's queue. Cancellation is
-		// polled once per level and every cancelCheckInterval vertices
-		// within it, so a cancelled query stops mid-level without paying a
-		// per-edge check.
-		queue := levels[k]
-		for head := 0; head < len(queue); head++ {
-			if head&(cancelCheckInterval-1) == 0 {
-				if err := ws.Canceled(); err != nil {
-					levels[k] = queue[:0]
-					return nil, 0, err
-				}
-			}
-			v := int(queue[head])
-			lo, hi := ix.arcRange(v)
-			p := lo
-			if ws.StampA.Mark[v] == posStamp {
-				p = pos[v]
-			}
-			for p < hi && ix.nbrTruss[p] >= k {
-				u := int(ix.nbr[p])
-				p++
-				uf.union(int32(v), int32(u))
-				if !(ws.StampB.Mark[u] == schedStamp && scheduledAt[u] == k) {
-					ws.StampB.Mark[u] = schedStamp
-					scheduledAt[u] = k
-					queue = append(queue, int32(u))
-				}
-			}
-			ws.StampA.Mark[v] = posStamp
-			pos[v] = p
-			// Line 12-13: remember the next level at which v has edges.
-			if p < hi {
-				schedule(v, ix.nbrTruss[p])
-			}
-		}
-		levels[k] = queue[:0] // keep the grown capacity for future queries
-		if uf.sameSet(q) {
-			return ix.FindKTrussW(q, k, ws)
-		}
-	}
-	return nil, 0, ErrNoCommunity
+	return ix.FindKTrussW(q, k, ws)
 }
 
 // FindKTrussW returns the connected component containing Q of the maximal

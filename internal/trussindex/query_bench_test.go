@@ -1,7 +1,6 @@
 package trussindex
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/gen"
@@ -46,53 +45,6 @@ func BenchmarkBuildIndex(b *testing.B) {
 		BuildFromDecomposition(g, d)
 	}
 }
-
-// BenchmarkBuildIndexSortSlice measures the seed's per-vertex
-// sort.Slice-with-closures build strategy (reimplemented here as the
-// reference) against the counting-sort build above.
-func BenchmarkBuildIndexSortSlice(b *testing.B) {
-	ix, _ := queryBenchSetup(b)
-	g, d := ix.Graph(), ix.Decomposition()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nbrOut := make([][]int32, g.N())
-		tsOut := make([][]int32, g.N())
-		for v := 0; v < g.N(); v++ {
-			src := g.Neighbors(v)
-			srcIDs := g.NeighborEdgeIDs(v)
-			nb := make([]int32, len(src))
-			copy(nb, src)
-			ts := make([]int32, len(nb))
-			for i := range nb {
-				ts[i] = d.Truss[srcIDs[i]]
-			}
-			idx := make([]int, len(nb))
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.Slice(idx, func(a, c int) bool {
-				ia, ic := idx[a], idx[c]
-				if ts[ia] != ts[ic] {
-					return ts[ia] > ts[ic]
-				}
-				return nb[ia] < nb[ic]
-			})
-			sortedNb := make([]int32, len(nb))
-			sortedTs := make([]int32, len(nb))
-			for i, j := range idx {
-				sortedNb[i] = nb[j]
-				sortedTs[i] = ts[j]
-			}
-			nbrOut[v] = sortedNb
-			tsOut[v] = sortedTs
-		}
-		benchSink = nbrOut
-		benchSink2 = tsOut
-	}
-}
-
-var benchSink, benchSink2 [][]int32
 
 func BenchmarkFindG0(b *testing.B) {
 	ix, q := queryBenchSetup(b)

@@ -262,6 +262,7 @@ func ReadFrom(r io.Reader) (*Index, error) {
 		}
 	}
 	ix.thresholds = ix.computeThresholds()
+	ix.buildTree()
 	return ix, nil
 }
 
@@ -269,14 +270,15 @@ func ReadFrom(r io.Reader) (*Index, error) {
 // directed arc (neighbor + trussness + edge ID), 4 per vertex for the
 // offset table and 4 for the vertex trussness, plus 4 per edge for the
 // dense trussness array (which replaced the seed's ~16-byte/edge hash
-// table). This is the basis of the Table 3 comparison against
-// Graph.ApproxBytes.
+// table) and 8 per truss-level tree node (at most 2n-1 of them). This is
+// the basis of the Table 3 comparison against Graph.ApproxBytes.
 func (ix *Index) ApproxBytes() int64 {
 	var b int64
 	b += int64(len(ix.nbr)) * 12
 	b += int64(len(ix.off)) * 4
 	b += int64(len(ix.vertexTruss)) * 4
 	b += int64(len(ix.edgeTruss)) * 4
+	b += int64(len(ix.tree)) * 8
 	return b
 }
 

@@ -25,8 +25,8 @@ func ReadPoolStats() (acquires, fresh, releases int64) {
 }
 
 // Workspace is the pooled per-query scratch of an Index: epoch-stamped
-// visit marks and value arrays, a stamped union-find, reusable BFS queues
-// and level buckets, and two resettable shell overlays of the indexed graph.
+// visit marks and value arrays, reusable BFS queues, and two resettable
+// shell overlays of the indexed graph.
 // All resets are O(touched) — an epoch bump for the stamps, touched-word
 // clearing for the shells — so steady-state queries neither allocate nor
 // scan O(n + m). A query that peels also borrows an Expansion, which holds
@@ -83,12 +83,6 @@ type Workspace struct {
 
 	// expansion is the peel scratch borrowed by Expansion, nil until then.
 	expansion *Expansion
-
-	// dsu is the stamped union-find of FindG0.
-	dsu stampedDSU
-
-	// levels holds FindG0's per-trussness schedule buckets.
-	levels [][]int32
 
 	// countBuf backs CountBuf.
 	countBuf []int32
@@ -282,87 +276,4 @@ func (ws *Workspace) CountBuf(n int) []int32 {
 		buf[i] = 0
 	}
 	return buf
-}
-
-// levelQueues returns the per-level schedule buckets for levels [0, k],
-// each truncated to empty. Buckets above k may hold stale leftovers from an
-// earlier query that descended past its stopping level; they are truncated
-// lazily the next time a larger k needs them.
-func (ws *Workspace) levelQueues(k int32) [][]int32 {
-	if int(k)+1 > len(ws.levels) {
-		grown := make([][]int32, k+1)
-		copy(grown, ws.levels)
-		ws.levels = grown
-	}
-	for l := int32(0); l <= k; l++ {
-		if ws.levels[l] != nil {
-			ws.levels[l] = ws.levels[l][:0]
-		}
-	}
-	return ws.levels[:k+1]
-}
-
-// dsuReset returns the stamped union-find, all singletons.
-func (ws *Workspace) dsuReset() *stampedDSU {
-	d := &ws.dsu
-	if d.stamp == nil {
-		n := ws.ix.g.N()
-		d.stamp = graph.NewStamp(n)
-		d.parent = make([]int32, n)
-		d.rank = make([]int8, n)
-	}
-	d.stamp.Next()
-	return d
-}
-
-// stampedDSU is a union-find over vertex IDs whose "all singletons" reset
-// is an epoch bump: a vertex not marked in the current epoch is implicitly
-// its own root with rank zero.
-type stampedDSU struct {
-	stamp  *graph.Stamp
-	parent []int32
-	rank   []int8
-}
-
-func (d *stampedDSU) ensure(x int32) {
-	if d.stamp.Visit(x) {
-		d.parent[x] = x
-		d.rank[x] = 0
-	}
-}
-
-func (d *stampedDSU) find(x int32) int32 {
-	d.ensure(x)
-	for d.parent[x] != x {
-		d.parent[x] = d.parent[d.parent[x]]
-		x = d.parent[x]
-	}
-	return x
-}
-
-func (d *stampedDSU) union(a, b int32) {
-	ra, rb := d.find(a), d.find(b)
-	if ra == rb {
-		return
-	}
-	if d.rank[ra] < d.rank[rb] {
-		ra, rb = rb, ra
-	}
-	d.parent[rb] = ra
-	if d.rank[ra] == d.rank[rb] {
-		d.rank[ra]++
-	}
-}
-
-func (d *stampedDSU) sameSet(q []int) bool {
-	if len(q) == 0 {
-		return true
-	}
-	r := d.find(int32(q[0]))
-	for _, v := range q[1:] {
-		if d.find(int32(v)) != r {
-			return false
-		}
-	}
-	return true
 }
