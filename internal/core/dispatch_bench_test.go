@@ -49,9 +49,9 @@ func TestSearchDispatchZeroAllocOverhead(t *testing.T) {
 		runs   int
 		budget float64
 	}{
-		{AlgoLCTC, 50, 22},
-		{AlgoBasic, 10, 7},
-		{AlgoTrussOnly, 50, 7},
+		{AlgoLCTC, 50, 19},
+		{AlgoBasic, 10, 4},
+		{AlgoTrussOnly, 50, 4},
 	} {
 		allocs := testing.AllocsPerRun(tc.runs, func() {
 			if _, err := s.Search(ctx, Request{Q: q, Algo: tc.algo}); err != nil {

@@ -343,8 +343,9 @@ func (r *Request) minProb() float64 {
 // timings are wall-clock; for LCTC, Seed covers the Steiner-tree build,
 // Expand the local expansion plus truss extraction, and Peel the free-rider
 // shrink. For Basic/BulkDelete/TrussOnly, Seed is FindG0W/FindKTrussW and
-// Peel the free-rider shrink (none for TrussOnly) plus the copy of the answer
-// onto the index's graph.
+// Peel the free-rider shrink (none for TrussOnly). For all four, Peel also
+// covers reading the answer off the peel's compact graph: its vertex list,
+// edge bits and query distance.
 type QueryStats struct {
 	// Algo echoes the request's algorithm.
 	Algo Algo
@@ -356,7 +357,7 @@ type QueryStats struct {
 	Seed time.Duration
 	// Expand is LCTC's local-expansion + extraction time (0 otherwise).
 	Expand time.Duration
-	// Peel is the greedy free-rider-removal time, hand-back copy included.
+	// Peel is the greedy free-rider-removal time, hand-back included.
 	Peel time.Duration
 	// Total is the end-to-end pipeline time of the query — every phase plus
 	// the Verify re-check when requested. Request validation (a cheap O(|Q|)

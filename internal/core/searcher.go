@@ -63,10 +63,8 @@ func (s *Searcher) searchGlobal(req Request, ws *trussindex.Workspace, res *Resu
 			return fmt.Errorf("core: %s: %w", req.Algo, err)
 		}
 	}
-	out := graph.NewMutableShell(s.ix.Graph()) // see searchLCTC
-	copyComponent(out, req.Q, best, x.Q[0], x.Edge, ws)
+	handBack(&res.Community, req.Algo.String(), k, req.Q, best, x, s.ix.Graph(), ws) // see searchLCTC
 	st.Peel = time.Since(tp)
-	initCommunity(&res.Community, req.Algo.String(), out, k, req.Q, ws)
 	return nil
 }
 
@@ -120,13 +118,12 @@ func (s *Searcher) searchLCTC(req Request, ws *trussindex.Workspace, res *Result
 	if err != nil {
 		return fmt.Errorf("core: LCTC: %w", err)
 	}
-	// Everything so far lives in the pooled expansion; the community is
-	// handed back on the index's graph, the one allocation after the seed,
-	// so that a retained Result keeps nothing of this query alive.
-	out := graph.NewMutableShell(s.ix.Graph())
-	copyComponent(out, req.Q, best, x.Q[0], x.Edge, ws)
+	// Everything so far lives in the pooled expansion; the community is read
+	// off it into the index's ID spaces — its vertex list and edge bits are
+	// the only allocations after the seed — so that a retained Result keeps
+	// nothing of this query alive.
+	handBack(&res.Community, AlgoLCTC.String(), k, req.Q, best, x, s.ix.Graph(), ws)
 	st.Peel = time.Since(tp)
-	initCommunity(&res.Community, AlgoLCTC.String(), out, k, req.Q, ws)
 	return nil
 }
 
@@ -233,26 +230,22 @@ func bestKTrussWithin(dec *truss.Decomposition, q []int, capK int32, ws *trussin
 			continue
 		}
 		ht := x.Shell()
-		copyComponent(ht, q, mu, q[0], nil, ws)
+		copyComponent(ht, q, mu, q[0], ws)
 		return ht, k, nil
 	}
 	return nil, 0, truss.ErrNoCommunity
 }
 
-// copyComponent adds the connected component of src in mu to dst, edge by
-// edge — edge e of mu becomes edge edges[e] of dst (the same ID when edges is
-// nil) — and then the query vertices q, given in dst's ID space, in case one
-// has no edge.
-func copyComponent(dst *graph.Mutable, q []int, mu *graph.Mutable, src int, edges []int32, ws *trussindex.Workspace) {
+// copyComponent adds the connected component of src in mu to dst, an
+// overlay of the same graph, edge by edge, and then the query vertices q in
+// case one has no edge.
+func copyComponent(dst *graph.Mutable, q []int, mu *graph.Mutable, src int, ws *trussindex.Workspace) {
 	comp := graph.BFSMarked(mu, src, ws.ValA, ws.StampA, ws.QueueA)
 	ws.QueueA = comp
 	for _, vq := range comp {
 		v := int(vq)
 		mu.ForEachIncidentEdge(v, func(e int32, w int) {
 			if w > v {
-				if edges != nil {
-					e = edges[e]
-				}
 				dst.AddEdgeByID(e)
 			}
 		})
@@ -290,19 +283,20 @@ func connectedOn(mu *graph.Mutable, q []int, ws *trussindex.Workspace) bool {
 // ProbTruss, minimum degree for MDC, nothing for QDC).
 func verifyResult(res *Result) error {
 	c := &res.Community
+	sub := c.Subgraph()
 	switch res.Stats.Algo {
 	case AlgoDTruss, AlgoProbTruss, AlgoMDC, AlgoQDC:
 		for _, v := range c.Query {
-			if !c.sub.Present(v) {
+			if !sub.Present(v) {
 				return fmt.Errorf("core: %s dropped query vertex %d", c.Algorithm, v)
 			}
 		}
-		if !graph.Connected(c.sub, c.Query) {
+		if !graph.Connected(sub, c.Query) {
 			return fmt.Errorf("core: %s produced a disconnected community", c.Algorithm)
 		}
 		return nil
 	}
-	if err := truss.VerifyCommunity(c.sub, c.K, c.Query); err != nil {
+	if err := truss.VerifyCommunity(sub, c.K, c.Query); err != nil {
 		return fmt.Errorf("core: %s produced an invalid community: %w", c.Algorithm, err)
 	}
 	return nil

@@ -43,9 +43,9 @@ func ExtensionTable(cfg Config) *Table {
 		e := edges[rng.Intn(len(edges))]
 		u, v := e.Endpoints()
 		mu.DeleteEdge(u, v)
-		truss.DecomposeMutable(mu)
+		truss.Decompose(mu.Freeze())
 		mu.AddEdge(u, v)
-		truss.DecomposeMutable(mu)
+		truss.Decompose(mu.Freeze())
 	}
 	rebuildPer := time.Since(start).Seconds() / float64(2*rebuilds)
 

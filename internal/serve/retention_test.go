@@ -25,10 +25,11 @@ func liveHeap() uint64 {
 
 // TestCachedLCTCResultsAreSmall fills the default 1024-entry result cache
 // with distinct LCTC answers on dblp and bounds what each retained answer
-// costs. A Result holds its community as an overlay of the snapshot's graph;
-// when it instead held an overlay of the query's own frozen expansion, every
-// cached entry pinned a private copy of that graph (~225 KB per entry, a
-// 565 MB server on a 94k-edge graph).
+// costs. A Result holds its community as a vertex list plus one bit per
+// edge of the snapshot's graph, ~14 KB an entry on dblp's 94k edges. An
+// overlay of the snapshot's graph, with its per-vertex arrays, cost ~64 KB
+// an entry; one of the query's own frozen expansion pinned a private copy
+// of that graph (~225 KB an entry, a 565 MB server).
 func TestCachedLCTCResultsAreSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("answers 1024 dblp queries")
@@ -72,7 +73,7 @@ func TestCachedLCTCResultsAreSmall(t *testing.T) {
 	}
 	perEntry := (int64(after) - int64(before)) / entries
 	t.Logf("heap in use per cached LCTC answer: %d KB", perEntry>>10)
-	if perEntry > 80<<10 {
-		t.Fatalf("heap in use per cached LCTC answer = %d KB, want <= 80 KB", perEntry>>10)
+	if perEntry > 20<<10 {
+		t.Fatalf("heap in use per cached LCTC answer = %d KB, want <= 20 KB", perEntry>>10)
 	}
 }

@@ -211,23 +211,6 @@ func (d *Decomposition) finishVertexTruss() {
 	}
 }
 
-// DecomposeMutable computes the truss decomposition of the current state of
-// mu. The input is not modified. When mu is its base graph in full (the
-// common case for freshly wrapped graphs), the base is decomposed directly;
-// otherwise the live subgraph is frozen first.
-func DecomposeMutable(mu *graph.Mutable) *Decomposition {
-	if mu.OverlayPure() && mu.M() == mu.Base().M() {
-		d := Decompose(mu.Base())
-		if len(d.VertexTruss) < mu.NumIDs() {
-			vt := make([]int32, mu.NumIDs())
-			copy(vt, d.VertexTruss)
-			d.VertexTruss = vt
-		}
-		return d
-	}
-	return Decompose(mu.Freeze())
-}
-
 // EdgeTrussOf returns τ(u,v), or 0 if the edge does not exist.
 func (d *Decomposition) EdgeTrussOf(u, v int) int32 {
 	if d.G == nil {

@@ -260,6 +260,23 @@ func TestDecomposeNetworkLabels(t *testing.T) {
 	}
 }
 
+// DecomposeMutable computes the truss decomposition of the current state of
+// mu. The input is not modified. When mu is its base graph in full (the
+// common case for freshly wrapped graphs), the base is decomposed directly;
+// otherwise the live subgraph is frozen first.
+func DecomposeMutable(mu *graph.Mutable) *Decomposition {
+	if mu.OverlayPure() && mu.M() == mu.Base().M() {
+		d := Decompose(mu.Base())
+		if len(d.VertexTruss) < mu.NumIDs() {
+			vt := make([]int32, mu.NumIDs())
+			copy(vt, d.VertexTruss)
+			d.VertexTruss = vt
+		}
+		return d
+	}
+	return Decompose(mu.Freeze())
+}
+
 func TestDecomposeMutableMatchesGraph(t *testing.T) {
 	g := randomGraph(7, 25, 0.25)
 	mu := graph.NewMutable(g, nil)
