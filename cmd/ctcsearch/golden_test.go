@@ -35,7 +35,7 @@ func TestGoldenOutput(t *testing.T) {
 		{"basic", "golden_basic.txt"},
 	} {
 		var buf bytes.Buffer
-		if err := run(&buf, fixture, "", "0,1,2", tc.algo, "", 0, 0, 0, 0, 0, true, true, ""); err != nil {
+		if err := run(&buf, fixture, "", "0,1,2", tc.algo, 0, 0, 0, 0, true, true, ""); err != nil {
 			t.Fatalf("%s: %v", tc.algo, err)
 		}
 		got := normalizeOutput(buf.Bytes())

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	ctcsearch -graph graph.txt -q 12,35,77 [-algo lctc|basic|bd|truss|dtruss|prob|mdc|qdc] \
-//	          [-k K] [-eta N] [-gamma G] [-direction MODE] [-minprob P] [-v]
+//	ctcsearch -graph graph.txt -q 12,35,77 [-algo lctc|basic|bd|truss] \
+//	          [-k K] [-eta N] [-gamma G] [-v]
 //	ctcsearch -network dblp -q 12,35,77
 //
 // It prints the community's trussness, size, density, query distance and
@@ -33,18 +33,16 @@ func main() {
 		network   = flag.String("network", "", "synthetic network name (facebook, amazon, dblp, youtube, livejournal, orkut)")
 		queryStr  = flag.String("q", "", "comma-separated query vertex IDs (required)")
 		algo      = flag.String("algo", "lctc", "algorithm: "+core.AlgoSpellings())
-		fixedK    = flag.Int("k", 0, "fixed trussness k (0 = maximize; kf for dtruss)")
+		fixedK    = flag.Int("k", 0, "fixed trussness k (0 = maximize)")
 		eta       = flag.Int("eta", 0, "LCTC expansion budget η (0 = default 1000)")
 		gamma     = flag.Float64("gamma", 0, "LCTC truss-distance penalty γ (0 = default 3)")
-		direction = flag.String("direction", "", "dtruss edge orientation: both, lowhigh, highlow, hash")
-		minProb   = flag.Float64("minprob", 0, "prob truss confidence threshold γ in (0,1] (0 = default 0.5)")
 		timeout   = flag.Duration("timeout", 0, "abort the search after this long (0 = no limit)")
 		members   = flag.Bool("members", false, "print the community's vertex IDs")
 		dotPath   = flag.String("dot", "", "write the community as a Graphviz DOT file")
 		verify    = flag.Bool("v", false, "verify the result is a connected k-truss containing Q")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *graphPath, *network, *queryStr, *algo, *direction, *fixedK, *eta, *gamma, *minProb, *timeout, *members, *verify, *dotPath); err != nil {
+	if err := run(os.Stdout, *graphPath, *network, *queryStr, *algo, *fixedK, *eta, *gamma, *timeout, *members, *verify, *dotPath); err != nil {
 		fmt.Fprintln(os.Stderr, "ctcsearch:", err)
 		os.Exit(1)
 	}
@@ -53,8 +51,8 @@ func main() {
 // run executes one search and writes the human-readable report to out (an
 // explicit writer so the end-to-end golden test can capture and normalize
 // the CLI's output).
-func run(out io.Writer, graphPath, network, queryStr, algo, direction string, fixedK, eta int,
-	gamma, minProb float64, timeout time.Duration, members, verify bool, dotPath string) error {
+func run(out io.Writer, graphPath, network, queryStr, algo string, fixedK, eta int,
+	gamma float64, timeout time.Duration, members, verify bool, dotPath string) error {
 	q, err := parseQuery(queryStr)
 	if err != nil {
 		return err
@@ -71,7 +69,7 @@ func run(out io.Writer, graphPath, network, queryStr, algo, direction string, fi
 	// unified Request and calls Search. The historical -gamma -1 spelling
 	// maps onto the explicit hop-distance mode; -timeout becomes a context
 	// deadline that cancels the search mid-phase.
-	req := core.Request{Q: q, K: int32(fixedK), Eta: eta, MinProb: minProb, Verify: verify}
+	req := core.Request{Q: q, K: int32(fixedK), Eta: eta, Verify: verify}
 	if gamma < 0 {
 		req.DistanceMode = core.DistHop
 	} else {
@@ -81,10 +79,6 @@ func run(out io.Writer, graphPath, network, queryStr, algo, direction string, fi
 	req.Algo, err2 = core.ParseAlgo(strings.ToLower(algo))
 	if err2 != nil {
 		return err2 // registry-derived: names every accepted spelling
-	}
-	req.Direction, err2 = core.ParseDirection(strings.ToLower(direction))
-	if err2 != nil {
-		return err2
 	}
 	ctx := context.Background()
 	if timeout > 0 {

@@ -55,33 +55,25 @@ func TestLoadGraph(t *testing.T) {
 
 func TestRunEndToEnd(t *testing.T) {
 	path := writeTempGraph(t)
-	for _, algo := range []string{"lctc", "basic", "bd", "truss", "dtruss", "prob", "mdc", "qdc"} {
-		if err := run(io.Discard, path, "", "0,1", algo, "", 0, 0, 0, 0, 0, true, true, ""); err != nil {
+	for _, algo := range []string{"lctc", "basic", "bd", "truss"} {
+		if err := run(io.Discard, path, "", "0,1", algo, 0, 0, 0, 0, true, true, ""); err != nil {
 			t.Fatalf("algo %s: %v", algo, err)
 		}
 	}
-	// Model parameters thread through the flags.
-	if err := run(io.Discard, path, "", "0,1", "dtruss", "hash", 0, 0, 0, 0, 0, false, true, ""); err != nil {
-		t.Fatalf("dtruss hash: %v", err)
+	for _, algo := range []string{"nope", "dtruss"} {
+		if err := run(io.Discard, path, "", "0,1", algo, 0, 0, 0, 0, false, false, ""); err == nil {
+			t.Fatalf("unknown algorithm %q accepted", algo)
+		}
 	}
-	if err := run(io.Discard, path, "", "0,1", "prob", "", 0, 0, 0, 0.6, 0, false, true, ""); err != nil {
-		t.Fatalf("prob minprob: %v", err)
-	}
-	if err := run(io.Discard, path, "", "0,1", "dtruss", "sideways", 0, 0, 0, 0, 0, false, false, ""); err == nil {
-		t.Fatal("unknown direction accepted")
-	}
-	if err := run(io.Discard, path, "", "0,1", "nope", "", 0, 0, 0, 0, 0, false, false, ""); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if err := run(io.Discard, path, "", "", "lctc", "", 0, 0, 0, 0, 0, false, false, ""); err == nil {
+	if err := run(io.Discard, path, "", "", "lctc", 0, 0, 0, 0, false, false, ""); err == nil {
 		t.Fatal("missing query accepted")
 	}
 	// Fixed-k and LCTC knobs.
-	if err := run(io.Discard, path, "", "0,1", "lctc", "", 3, 50, 2, 0, 0, false, true, filepath.Join(t.TempDir(), "c.dot")); err != nil {
+	if err := run(io.Discard, path, "", "0,1", "lctc", 3, 50, 2, 0, false, true, filepath.Join(t.TempDir(), "c.dot")); err != nil {
 		t.Fatalf("fixed-k run: %v", err)
 	}
 	// Infeasible fixed k.
-	if err := run(io.Discard, path, "", "0,5", "basic", "", 5, 0, 0, 0, 0, false, false, ""); err == nil {
+	if err := run(io.Discard, path, "", "0,5", "basic", 5, 0, 0, 0, false, false, ""); err == nil {
 		t.Fatal("infeasible k accepted")
 	}
 }

@@ -10,7 +10,7 @@
 //
 // Endpoints:
 //
-//	POST /query          {"q":[1,2],"algo":"lctc|basic|bulk|truss|dtruss|prob|mdc|qdc","k":0}
+//	POST /query          {"q":[1,2],"algo":"lctc|basic|bd|truss","k":0}
 //	POST /update         {"op":"add","u":1,"v":2}  or  {"edges":[...],"flush":true}
 //	GET  /stats          epoch, dirty count, snapshot age, queue depth, counters
 //	GET  /healthz        liveness plus current epoch and build identity

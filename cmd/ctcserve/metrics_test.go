@@ -258,16 +258,17 @@ func TestMetricsExpositionEndToEnd(t *testing.T) {
 		t.Errorf("ctc_publishes_total = %v, want >= 1", v)
 	}
 
-	// Per-algo labels on the query latency histogram.
+	// Per-algo labels on the query latency histogram: a _count series for
+	// every algorithm of the registry, pre-registered at tracer construction.
 	algosSeen := map[string]bool{}
 	for _, s := range first["ctc_query_duration_seconds"].Samples {
-		if a := s.Labels["algo"]; a != "" {
+		if a := s.Labels["algo"]; a != "" && s.Name == "ctc_query_duration_seconds_count" {
 			algosSeen[a] = true
 		}
 	}
-	for _, want := range []string{"LCTC", "Basic", "BD", "Truss"} {
+	for _, want := range core.AlgoNames() {
 		if !algosSeen[want] {
-			t.Errorf("ctc_query_duration_seconds missing algo=%q series (saw %v)", want, algosSeen)
+			t.Errorf("ctc_query_duration_seconds_count missing algo=%q series (saw %v)", want, algosSeen)
 		}
 	}
 

@@ -49,6 +49,11 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 		{"bad request", func(w http.ResponseWriter) {
 			writeQueryError(w, fmt.Errorf("%w: k", core.ErrBadParam))
 		}, http.StatusBadRequest, "bad_request", ""},
+		// An unknown algo is rejected while decoding, before the backend is
+		// touched, so none is wired.
+		{"unknown algo", func(w http.ResponseWriter) {
+			newServer(nil).ServeHTTP(w, httptest.NewRequest("POST", "/query", strings.NewReader(`{"q":[1],"algo":"dtruss"}`)))
+		}, http.StatusBadRequest, "bad_request", ""},
 		{"internal", func(w http.ResponseWriter) {
 			writeQueryError(w, fmt.Errorf("boom"))
 		}, http.StatusUnprocessableEntity, "internal", ""},

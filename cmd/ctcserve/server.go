@@ -10,10 +10,7 @@ import (
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/directed"
-	"repro/internal/prob"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/steiner"
@@ -76,9 +73,7 @@ type queryRequest struct {
 	// Q holds the query vertex IDs.
 	Q []int `json:"q"`
 	// Algo selects the search algorithm: "lctc" (default), "basic",
-	// "bd"/"bulk", "truss" (G0 without free-rider removal), "dtruss"
-	// (directed D-truss), "prob" (probabilistic (k,γ)-truss), "mdc", or
-	// "qdc" (the two non-truss baselines).
+	// "bd"/"bulk"/"bulkdelete", or "truss" (G0 without free-rider removal).
 	Algo string `json:"algo"`
 	// K, when > 0, requests a fixed-trussness community instead of the
 	// maximum (the paper's Exp-5 variant).
@@ -90,12 +85,6 @@ type queryRequest struct {
 	Gamma float64 `json:"gamma"`
 	// Distance selects LCTC's seed metric: "truss" (default) or "hop".
 	Distance string `json:"distance"`
-	// Direction selects D-truss edge orientation: "both" (default),
-	// "lowhigh", "highlow", or "hash"; only meaningful with algo "dtruss".
-	Direction string `json:"direction"`
-	// MinProb overrides the (k,γ)-truss probability threshold γ in (0,1]
-	// (0 = default 0.5); only meaningful with algo "prob".
-	MinProb float64 `json:"min_prob"`
 	// Tenant identifies the caller for admission fairness and per-tenant
 	// /stats accounting; the X-Tenant header is the fallback when empty.
 	Tenant string `json:"tenant"`
@@ -151,12 +140,7 @@ func (qr *queryRequest) toRequest() (core.Request, error) {
 	if err != nil {
 		return core.Request{}, err
 	}
-	dir, err := core.ParseDirection(qr.Direction)
-	if err != nil {
-		return core.Request{}, err
-	}
-	req := core.Request{Q: qr.Q, Algo: algo, K: qr.K, Eta: qr.Eta, Gamma: qr.Gamma,
-		Direction: dir, MinProb: qr.MinProb, Tenant: qr.Tenant}
+	req := core.Request{Q: qr.Q, Algo: algo, K: qr.K, Eta: qr.Eta, Gamma: qr.Gamma, Tenant: qr.Tenant}
 	switch qr.Distance {
 	case "", "truss":
 		req.DistanceMode = core.DistTrussPenalty
@@ -266,13 +250,10 @@ func writeQueryError(w http.ResponseWriter, err error) {
 		errors.Is(err, core.ErrBadParam):
 		httpErrorCode(w, http.StatusBadRequest, "bad_request", "%v", err)
 	case errors.Is(err, trussindex.ErrNoCommunity) || errors.Is(err, truss.ErrNoCommunity) ||
-		errors.Is(err, steiner.ErrDisconnected) ||
-		errors.Is(err, directed.ErrNoCommunity) || errors.Is(err, prob.ErrNoCommunity) ||
-		errors.Is(err, baseline.ErrNoCommunity):
+		errors.Is(err, steiner.ErrDisconnected):
 		// Every "no such community" shape maps to 404: the index's
-		// sentinel, the truss package's (LCTC extraction), a Steiner seed
-		// that cannot connect the terminals, and the per-model sentinels
-		// of D-truss, probabilistic truss, and the MDC/QDC baselines.
+		// sentinel, the truss package's (LCTC extraction), and a Steiner
+		// seed that cannot connect the terminals.
 		httpErrorCode(w, http.StatusNotFound, "no_community", "%v", err)
 	case errors.Is(err, context.Canceled):
 		httpErrorCode(w, statusClientClosedRequest, "canceled", "%v", err)

@@ -63,11 +63,7 @@ func Key(epoch int64, req core.Request) string {
 	buf = append(buf, '|')
 	buf = strconv.AppendInt(buf, int64(req.Algo), 10)
 	buf = append(buf, '|')
-	k := req.K
-	if req.Algo == core.AlgoMDC || req.Algo == core.AlgoQDC {
-		k = 0 // the baselines ignore K entirely
-	}
-	buf = strconv.AppendInt(buf, int64(k), 10)
+	buf = strconv.AppendInt(buf, int64(req.K), 10)
 	buf = append(buf, '|')
 	eta := req.Eta
 	if eta <= 0 {
@@ -87,24 +83,10 @@ func Key(epoch int64, req core.Request) string {
 	if req.Algo != core.AlgoLCTC {
 		gamma = 0
 	}
+	// The effective γ is the only way DistanceMode reaches an answer: it is
+	// 0 under DistHop, so it keeps LCTC's two metrics apart, and the other
+	// algorithms, which never read the mode, share one entry across it.
 	buf = strconv.AppendUint(buf, math.Float64bits(gamma), 16)
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(req.DistanceMode), 10)
-	buf = append(buf, '|')
-	dir := req.Direction
-	if req.Algo != core.AlgoDTruss {
-		dir = 0 // only DTruss orients; don't fragment the other algorithms
-	}
-	buf = strconv.AppendInt(buf, int64(dir), 10)
-	buf = append(buf, '|')
-	minProb := req.MinProb
-	if minProb == 0 {
-		minProb = core.DefaultMinProb
-	}
-	if req.Algo != core.AlgoProbTruss {
-		minProb = 0 // only ProbTruss reads it
-	}
-	buf = strconv.AppendUint(buf, math.Float64bits(minProb), 16)
 	last := -1
 	for _, v := range q {
 		if v == last {

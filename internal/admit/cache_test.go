@@ -49,27 +49,12 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		{"different algo distinct", core.Request{Q: []int{1}}, core.Request{Q: []int{1}, Algo: core.AlgoBasic}, false},
 		{"tenant not part of identity", core.Request{Q: []int{1}, Tenant: "a"},
 			core.Request{Q: []int{1}, Tenant: "b"}, true},
-		{"direction distinct for dtruss",
-			core.Request{Q: []int{1}, Algo: core.AlgoDTruss},
-			core.Request{Q: []int{1}, Algo: core.AlgoDTruss, Direction: core.DirLowHigh}, false},
-		{"direction ignored off-dtruss",
+		{"distance mode ignored off-LCTC",
 			core.Request{Q: []int{1}, Algo: core.AlgoBasic},
-			core.Request{Q: []int{1}, Algo: core.AlgoBasic, Direction: core.DirHash}, true},
-		{"default minprob folded",
-			core.Request{Q: []int{1}, Algo: core.AlgoProbTruss},
-			core.Request{Q: []int{1}, Algo: core.AlgoProbTruss, MinProb: core.DefaultMinProb}, true},
-		{"distinct minprob distinct",
-			core.Request{Q: []int{1}, Algo: core.AlgoProbTruss, MinProb: 0.5},
-			core.Request{Q: []int{1}, Algo: core.AlgoProbTruss, MinProb: 0.9}, false},
-		{"minprob ignored off-probtruss",
+			core.Request{Q: []int{1}, Algo: core.AlgoBasic, DistanceMode: core.DistHop}, true},
+		{"hop distinct from truss distance for LCTC",
 			core.Request{Q: []int{1}, Algo: core.AlgoLCTC},
-			core.Request{Q: []int{1}, Algo: core.AlgoLCTC, MinProb: 0.9}, true},
-		{"k ignored for baselines",
-			core.Request{Q: []int{1}, Algo: core.AlgoMDC},
-			core.Request{Q: []int{1}, Algo: core.AlgoMDC, K: 5}, true},
-		{"k distinct for qdc vs mdc",
-			core.Request{Q: []int{1}, Algo: core.AlgoQDC},
-			core.Request{Q: []int{1}, Algo: core.AlgoMDC}, false},
+			core.Request{Q: []int{1}, Algo: core.AlgoLCTC, DistanceMode: core.DistHop}, false},
 	}
 	for _, tc := range cases {
 		if got := Key(7, tc.a) == Key(7, tc.b); got != tc.same {

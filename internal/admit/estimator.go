@@ -91,22 +91,6 @@ func (e *Estimator) Units(ix *trussindex.Index, req core.Request) int64 {
 		// The expansion cannot outgrow the graph, so neither may its price:
 		// a client-supplied η is otherwise a way to book hours of backlog.
 		units += int64(min(eta, n))
-	case core.AlgoDTruss:
-		// Orients and peels the whole graph per query (cycle+flow support
-		// per arc, kc descent).
-		units += 8 * int64(g.M())
-	case core.AlgoProbTruss:
-		// Full (k,γ)-truss decomposition with a Poisson-binomial DP per
-		// edge per level: the most expensive model per edge.
-		units += 16 * int64(g.M())
-	case core.AlgoMDC:
-		// Works inside the distance-2 ball around Q; degree sum bounds the
-		// ball frontier, and the bucket peel revisits it a few times.
-		units += 16 * degSum
-	case core.AlgoQDC:
-		// Proximity iteration sweeps the whole component a fixed number of
-		// times; the heap peel is near-linear in edges.
-		units += 2 * int64(g.M())
 	}
 	return units
 }

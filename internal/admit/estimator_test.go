@@ -38,19 +38,6 @@ func TestEstimatorUnitsRankAlgorithms(t *testing.T) {
 	if hi <= lo {
 		t.Fatalf("degree sum not reflected: hi=%d lo=%d", hi, lo)
 	}
-	// The whole-graph models price in the edge count: the probabilistic
-	// decomposition is the most expensive per edge, QDC the cheapest of
-	// the global three, and all sit above the local TrussOnly seed.
-	dt := NewEstimator(0).Units(ix, core.Request{Q: q, Algo: core.AlgoDTruss})
-	pt := NewEstimator(0).Units(ix, core.Request{Q: q, Algo: core.AlgoProbTruss})
-	qdc := NewEstimator(0).Units(ix, core.Request{Q: q, Algo: core.AlgoQDC})
-	mdc := NewEstimator(0).Units(ix, core.Request{Q: q, Algo: core.AlgoMDC})
-	if !(pt > dt && dt > qdc && qdc > truss) {
-		t.Fatalf("model costs not ranked: prob=%d dtruss=%d qdc=%d truss=%d", pt, dt, qdc, truss)
-	}
-	if mdc <= truss {
-		t.Fatalf("MDC should price in its ball peel: mdc=%d truss=%d", mdc, truss)
-	}
 }
 
 // TestEstimatorUnvalidatedInput: the estimator runs before validation (the

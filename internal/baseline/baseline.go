@@ -8,8 +8,8 @@
 //     2015): maximize edge mass normalized by query-biased node weights,
 //     where weights derive from random-walk proximity to the query.
 //
-// Both are reimplemented from their papers' descriptions (no public code);
-// see DESIGN.md §3.
+// Both are reimplemented from their papers' descriptions (no public code).
+// Exp-3 (internal/exp's ground-truth experiment) is their only user.
 package baseline
 
 import (

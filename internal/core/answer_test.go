@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/trussindex"
 )
 
 // checkAnswer holds a Community's stored shape to a recomputation on its own
@@ -47,45 +45,19 @@ func checkAnswer(t *testing.T, head string, g *graph.Graph, c *Community) {
 }
 
 // TestAnswerMatchesSubgraph checks that the answers handed back from the
-// peel's compact graph — and the models' overlays of the index's graph —
-// describe exactly the subgraph Subgraph rebuilds, on every LCTC golden
-// query, every query global_golden.txt pins, and every model of
-// TestModelDispatch. The goldens pin n and m but not the query distance.
+// peel's compact graph describe exactly the subgraph Subgraph rebuilds, on
+// every LCTC golden query and every query global_golden.txt pins. The goldens
+// pin n and m but not the query distance.
 func TestAnswerMatchesSubgraph(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the facebook and dblp networks")
 	}
-	ctx := context.Background()
-	for i, name := range []string{"facebook", "dblp"} {
-		g, s, qs := goldenQueries(t, name)
-		check := func(algo Algo, qs [][]int) {
-			for _, q := range qs {
-				if res, err := s.Search(ctx, Request{Q: q, Algo: algo}); err == nil {
-					checkAnswer(t, name+" "+algo.String(), g, &res.Community)
-				}
+	lctc, global := goldenSearches(t)
+	for _, runs := range [][]goldenRun{lctc, global} {
+		for _, r := range runs {
+			if r.err == nil {
+				checkAnswer(t, r.head+" "+r.req.Algo.String(), r.g, &r.res.Community)
 			}
 		}
-		check(AlgoLCTC, qs)
-		for _, c := range goldenGlobal {
-			check(c.algo, qs[:c.count[i]])
-		}
-	}
-
-	g := modelTestGraph()
-	s := NewSearcher(trussindex.Build(g))
-	for _, req := range []Request{
-		{Q: []int{0, 1}, Algo: AlgoDTruss},
-		{Q: []int{0}, Algo: AlgoDTruss, Direction: DirLowHigh},
-		{Q: []int{0}, Algo: AlgoDTruss, Direction: DirHighLow},
-		{Q: []int{0}, Algo: AlgoDTruss, Direction: DirHash},
-		{Q: []int{0, 1}, Algo: AlgoProbTruss},
-		{Q: []int{0, 1}, Algo: AlgoMDC},
-		{Q: []int{0, 1}, Algo: AlgoQDC},
-	} {
-		res, err := s.Search(ctx, req)
-		if err != nil {
-			t.Fatalf("%s: %v", req.Algo, err)
-		}
-		checkAnswer(t, req.Algo.String(), g, &res.Community)
 	}
 }

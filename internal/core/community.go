@@ -34,25 +34,6 @@ type Community struct {
 	base      *graph.Graph
 }
 
-// initCommunity fills a caller-allocated Community in place (Result embeds
-// one by value, so the whole query answer is a single allocation) from sub,
-// an overlay of the index's graph made of its edges only. This is how the
-// ported models hand their answers back; the paper algorithms use handBack.
-func initCommunity(c *Community, algo string, sub *graph.Mutable, k int32, q []int, ws *trussindex.Workspace) {
-	edges := graph.NewBitset(sub.Base().M())
-	sub.ForEachLiveEdge(func(e int32, _, _ int) { edges.Set(e) })
-	*c = Community{
-		Algorithm: algo,
-		K:         k,
-		Query:     append([]int(nil), q...),
-		vertices:  sub.Vertices(),
-		edges:     edges,
-		m:         sub.M(),
-		queryDist: queryDist(sub, q, ws),
-		base:      sub.Base(),
-	}
-}
-
 // handBack fills a caller-allocated Community with a paper algorithm's
 // answer: the component of x.Q[0] in best, an overlay of x's compact graph,
 // plus any query vertex outside it, read off in local IDs and stored in
@@ -108,25 +89,6 @@ func handBack(c *Community, algo string, k int32, q []int, best *graph.Mutable, 
 		queryDist: int(qd),
 		base:      base,
 	}
-}
-
-// queryDist returns dist(sub, q) — graph.GraphQueryDistance on the
-// workspace's stamped BFS scratch — or -1 if some vertex of sub cannot reach
-// every query vertex. A BFS that reaches all of sub ends on a furthest
-// vertex.
-func queryDist(sub *graph.Mutable, q []int, ws *trussindex.Workspace) int {
-	d := int32(0)
-	for _, src := range q {
-		reach := graph.BFSMarked(sub, src, ws.ValA, ws.StampA, ws.QueueA)
-		ws.QueueA = reach
-		if len(reach) != sub.N() {
-			return -1
-		}
-		if far := ws.ValA[reach[len(reach)-1]]; far > d {
-			d = far
-		}
-	}
-	return int(d)
 }
 
 // N returns the number of vertices in the community.

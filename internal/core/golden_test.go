@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -40,17 +41,17 @@ func goldenQueries(tb testing.TB, name string) (*graph.Graph, *Searcher, [][]int
 	return g, NewSearcher(trussindex.Build(g)), qs
 }
 
-// goldenLine answers q with req on s and renders one line: head, then the
-// answer's shape, the counters that describe how it was reached, and an
+// goldenLine renders one golden search as a line: its head and query, then
+// the answer's shape, the counters that describe how it was reached, and an
 // FNV-1a hash of its sorted vertex list.
-func goldenLine(t *testing.T, g *graph.Graph, s *Searcher, head string, req Request) string {
+func goldenLine(t *testing.T, r goldenRun) string {
 	t.Helper()
-	head = fmt.Sprintf("%s %s", head, strings.Trim(strings.ReplaceAll(fmt.Sprint(req.Q), " ", ","), "[]"))
-	res, err := s.Search(context.Background(), req)
-	if err != nil {
-		return fmt.Sprintf("%s err %v", head, err)
+	head := fmt.Sprintf("%s %s", r.head, strings.Trim(strings.ReplaceAll(fmt.Sprint(r.req.Q), " ", ","), "[]"))
+	if r.err != nil {
+		return fmt.Sprintf("%s err %v", head, r.err)
 	}
-	if res.Subgraph().Base() != g {
+	res := r.res
+	if res.Subgraph().Base() != r.g {
 		t.Errorf("%s: community is not an overlay of the index's graph", head)
 	}
 	h := fnv.New64a()
@@ -62,20 +63,6 @@ func goldenLine(t *testing.T, g *graph.Graph, s *Searcher, head string, req Requ
 	st := res.Stats
 	return fmt.Sprintf("%s k=%d n=%d m=%d seed_edges=%d peel_rounds=%d edges_peeled=%d vhash=%016x",
 		head, res.K, res.N(), res.M(), st.SeedEdges, st.PeelRounds, st.EdgesPeeled, h.Sum64())
-}
-
-// goldenLCTCLines answers the golden query sets with LCTC, one goldenLine
-// per query.
-func goldenLCTCLines(t *testing.T) []string {
-	t.Helper()
-	var lines []string
-	for _, name := range []string{"facebook", "dblp"} {
-		g, s, qs := goldenQueries(t, name)
-		for _, q := range qs {
-			lines = append(lines, goldenLine(t, g, s, name, Request{Q: q}))
-		}
-	}
-	return lines
 }
 
 // goldenGlobal lists, per global algorithm, how many leading queries of each
@@ -90,18 +77,61 @@ var goldenGlobal = []struct {
 	{AlgoBasic, [2]int{10, 0}},
 }
 
-// goldenGlobalLines answers goldenGlobal's queries, one goldenLine per query
-// headed by the algorithm's name.
-func goldenGlobalLines(t *testing.T) []string {
-	t.Helper()
-	var lines []string
-	for i, name := range []string{"facebook", "dblp"} {
-		g, s, qs := goldenQueries(t, name)
-		for _, c := range goldenGlobal {
-			for _, q := range qs[:c.count[i]] {
-				lines = append(lines, goldenLine(t, g, s, c.algo.String()+" "+name, Request{Q: q, Algo: c.algo}))
+// goldenRun is one search of the golden tables: the network's graph, the
+// line head, the request and its outcome.
+type goldenRun struct {
+	g    *graph.Graph
+	head string
+	req  Request
+	res  *Result
+	err  error
+}
+
+// golden holds every golden search, run once per test binary and shared by
+// TestLCTCGolden, TestGlobalGolden and TestAnswerMatchesSubgraph: lctc in
+// testdata/lctc_golden.txt's order, global in testdata/global_golden.txt's.
+var golden struct {
+	once         sync.Once
+	built        bool
+	lctc, global []goldenRun
+}
+
+// goldenSearches builds the facebook and dblp networks once and answers the
+// golden queries on them: every query with LCTC, and goldenGlobal's leading
+// queries with each global algorithm.
+func goldenSearches(tb testing.TB) (lctc, global []goldenRun) {
+	tb.Helper()
+	golden.once.Do(func() {
+		ctx := context.Background()
+		for i, name := range []string{"facebook", "dblp"} {
+			g, s, qs := goldenQueries(tb, name)
+			run := func(head string, req Request) goldenRun {
+				res, err := s.Search(ctx, req)
+				return goldenRun{g: g, head: head, req: req, res: res, err: err}
+			}
+			for _, q := range qs {
+				golden.lctc = append(golden.lctc, run(name, Request{Q: q}))
+			}
+			for _, c := range goldenGlobal {
+				for _, q := range qs[:c.count[i]] {
+					golden.global = append(golden.global, run(c.algo.String()+" "+name, Request{Q: q, Algo: c.algo}))
+				}
 			}
 		}
+		golden.built = true
+	})
+	if !golden.built {
+		tb.Fatal("the golden networks failed to build")
+	}
+	return golden.lctc, golden.global
+}
+
+// goldenLines renders runs, one goldenLine each.
+func goldenLines(t *testing.T, runs []goldenRun) []string {
+	t.Helper()
+	lines := make([]string, len(runs))
+	for i, r := range runs {
+		lines[i] = goldenLine(t, r)
 	}
 	return lines
 }
@@ -131,7 +161,8 @@ func TestGlobalGolden(t *testing.T) {
 		t.Skip("builds the facebook and dblp networks")
 	}
 	want := readGoldenLines(t, "testdata/global_golden.txt")
-	got := goldenGlobalLines(t)
+	_, global := goldenSearches(t)
+	got := goldenLines(t, global)
 	if len(got) != len(want) {
 		t.Fatalf("golden table has %d lines, computed %d", len(want), len(got))
 	}
@@ -154,7 +185,8 @@ func TestLCTCGolden(t *testing.T) {
 		t.Skip("builds the facebook and dblp networks")
 	}
 	want := readGoldenLines(t, "testdata/lctc_golden.txt")
-	got := goldenLCTCLines(t)
+	lctc, _ := goldenSearches(t)
+	got := goldenLines(t, lctc)
 	if len(got) != len(want) || len(want) != 200 {
 		t.Fatalf("golden table has %d lines, computed %d, want 200 each", len(want), len(got))
 	}

@@ -27,23 +27,6 @@ const (
 	// containing Q — with no free-rider removal (Algorithm 2 / the "Truss"
 	// baseline).
 	AlgoTrussOnly
-	// AlgoDTruss is the directed (kc, kf)-D-truss community search over the
-	// orientation of the serving graph selected by Request.Direction: find
-	// the largest cycle-support level kc (flow-support level kf = Request.K)
-	// whose D-truss connects Q, then greedily shrink the query distance.
-	AlgoDTruss
-	// AlgoProbTruss is the probabilistic (k,γ)-truss community search: edges
-	// carry existence probabilities (derived deterministically from their
-	// endpoints) and every community edge must satisfy
-	// Pr[e exists ∧ sup(e) >= k-2] >= γ, with γ = Request.MinProb.
-	AlgoProbTruss
-	// AlgoMDC is the minimum-degree community baseline (Sozio & Gionis's
-	// Cocktail Party): maximize the minimum degree of a connected subgraph
-	// containing Q within a fixed query-distance ball.
-	AlgoMDC
-	// AlgoQDC is the query-biased densest connected subgraph baseline (Wu et
-	// al.): maximize edge mass normalized by random-walk proximity weights.
-	AlgoQDC
 
 	algoEnd // one past the last valid Algo; keep last
 )
@@ -61,10 +44,6 @@ var algoInfo = [algoEnd]struct {
 	AlgoBasic:      {"Basic", []string{"basic"}},
 	AlgoBulkDelete: {"BD", []string{"bd", "bulk", "bulkdelete"}},
 	AlgoTrussOnly:  {"Truss", []string{"truss"}},
-	AlgoDTruss:     {"DTruss", []string{"dtruss", "directed"}},
-	AlgoProbTruss:  {"ProbTruss", []string{"prob", "probtruss"}},
-	AlgoMDC:        {"MDC", []string{"mdc"}},
-	AlgoQDC:        {"QDC", []string{"qdc"}},
 }
 
 // String returns the algorithm's display name, matching the historical
@@ -148,62 +127,6 @@ func (m DistanceMode) String() string {
 	return fmt.Sprintf("DistanceMode(%d)", uint8(m))
 }
 
-// DirectionMode selects how AlgoDTruss orients the undirected serving graph
-// into its directed view. Every mode is a pure function of the edge's
-// endpoints, so the view is identical across epochs, replicas, and the
-// differential oracle — a requirement for the epoch-keyed result cache.
-type DirectionMode uint8
-
-const (
-	// DirBoth materializes both arcs u⇄v per undirected edge (the zero
-	// value): every triangle is both a cycle and a flow triangle, so the
-	// model degenerates gracefully toward the undirected semantics.
-	DirBoth DirectionMode = iota
-	// DirLowHigh orients each edge from the lower vertex ID to the higher:
-	// a DAG view (no directed cycles, kc is always 0), stressing the
-	// flow-support side of the model.
-	DirLowHigh
-	// DirHighLow orients each edge from the higher vertex ID to the lower.
-	DirHighLow
-	// DirHash orients each edge by a deterministic hash of its endpoint
-	// pair: a mixed view with both cycle and flow triangles.
-	DirHash
-
-	directionModeEnd // one past the last valid DirectionMode; keep last
-)
-
-// String names the direction mode ("both", "lowhigh", "highlow", "hash").
-func (m DirectionMode) String() string {
-	switch m {
-	case DirBoth:
-		return "both"
-	case DirLowHigh:
-		return "lowhigh"
-	case DirHighLow:
-		return "highlow"
-	case DirHash:
-		return "hash"
-	}
-	return fmt.Sprintf("DirectionMode(%d)", uint8(m))
-}
-
-// ParseDirection maps the wire/CLI spellings onto a DirectionMode: "both",
-// "lowhigh", "highlow", "hash". The empty string selects the DirBoth
-// default.
-func ParseDirection(s string) (DirectionMode, error) {
-	switch s {
-	case "", "both":
-		return DirBoth, nil
-	case "lowhigh":
-		return DirLowHigh, nil
-	case "highlow":
-		return DirHighLow, nil
-	case "hash":
-		return DirHash, nil
-	}
-	return 0, fmt.Errorf("%w: unknown direction %q (want both, lowhigh, highlow or hash)", ErrBadParam, s)
-}
-
 // Typed request-validation errors. Search validates once up front and
 // returns these instead of letting a malformed query reach VertexTruss/BFS
 // unchecked; match with errors.Is.
@@ -229,29 +152,16 @@ type Request struct {
 	Algo Algo
 	// K, when > 0, requests a community of that fixed trussness instead of
 	// the maximum (the Exp-5 variant; values 1..2 behave as 2, since
-	// trussness is only defined from 2 up). For AlgoDTruss, K is instead the
-	// flow-support level kf (the cycle level kc is maximized); for
-	// AlgoProbTruss it caps the probabilistic trussness. Ignored by
-	// AlgoMDC/AlgoQDC. K < 0 is ErrBadParam.
+	// trussness is only defined from 2 up). K < 0 is ErrBadParam.
 	K int32
 	// Eta is LCTC's node-budget threshold η for the local expansion
-	// (0 = default 1000). Ignored by the other algorithms. (The
-	// edge-probability threshold of AlgoProbTruss — historically also called
-	// η — is the separate MinProb field; the two share nothing but a letter.)
+	// (0 = default 1000). Ignored by the other algorithms.
 	Eta int
 	// Gamma is the truss-distance penalty γ under DistTrussPenalty
 	// (0 = default 3). Must be 0 under DistHop. Only LCTC reads it.
 	Gamma float64
 	// DistanceMode selects LCTC's seed metric (default DistTrussPenalty).
 	DistanceMode DistanceMode
-	// Direction selects AlgoDTruss's orientation of the undirected serving
-	// graph (default DirBoth). Ignored by the other algorithms.
-	Direction DirectionMode
-	// MinProb is AlgoProbTruss's confidence threshold γ: every community
-	// edge must exist with support >= k-2 with probability at least MinProb.
-	// Domain (0, 1]; 0 selects the default 0.5. Values outside [0, 1] (or
-	// NaN) are ErrBadParam. Ignored by the other algorithms.
-	MinProb float64
 	// Verify re-checks the output against the CTC conditions (connected
 	// k-truss containing Q) and fails loudly on violation. Meant for tests.
 	Verify bool
@@ -299,12 +209,6 @@ func (r *Request) Validate(n int) error {
 	if r.DistanceMode == DistHop && r.Gamma != 0 {
 		return fmt.Errorf("%w: Gamma %v is meaningless under DistHop", ErrBadParam, r.Gamma)
 	}
-	if r.Direction >= directionModeEnd {
-		return fmt.Errorf("%w: unknown DirectionMode(%d)", ErrBadParam, uint8(r.Direction))
-	}
-	if r.MinProb < 0 || r.MinProb > 1 || math.IsNaN(r.MinProb) {
-		return fmt.Errorf("%w: MinProb %v outside (0, 1]", ErrBadParam, r.MinProb)
-	}
 	return nil
 }
 
@@ -325,18 +229,6 @@ func (r *Request) gamma() float64 {
 		return 3
 	}
 	return r.Gamma
-}
-
-// DefaultMinProb is AlgoProbTruss's confidence threshold when
-// Request.MinProb is zero.
-const DefaultMinProb = 0.5
-
-// minProb returns the effective (k,γ)-truss confidence threshold.
-func (r *Request) minProb() float64 {
-	if r.MinProb == 0 {
-		return DefaultMinProb
-	}
-	return r.MinProb
 }
 
 // QueryStats is the per-query execution report of one Search call. Phase
@@ -493,14 +385,6 @@ func (s *Searcher) searchW(ctx context.Context, req Request, ws *trussindex.Work
 		err = s.searchGlobal(req, ws, res)
 	case AlgoLCTC:
 		err = s.searchLCTC(req, ws, res)
-	case AlgoDTruss:
-		err = s.searchDirected(req, ws, res)
-	case AlgoProbTruss:
-		err = s.searchProb(req, ws, res)
-	case AlgoMDC:
-		err = s.searchMDC(req, ws, res)
-	case AlgoQDC:
-		err = s.searchQDC(req, ws, res)
 	default: // unreachable after Validate
 		err = fmt.Errorf("%w: unknown Algo(%d)", ErrBadParam, uint8(req.Algo))
 	}

@@ -102,8 +102,14 @@ func TestParseAlgo(t *testing.T) {
 			t.Errorf("ParseAlgo(%q) = %v, %v; want %v", spelling, got, err, want)
 		}
 	}
-	if _, err := ParseAlgo("nope"); !errors.Is(err, ErrBadParam) {
-		t.Errorf("ParseAlgo(nope) err = %v, want ErrBadParam", err)
+	// The models /query once served are unknown spellings like any other.
+	for _, spelling := range []string{"nope", "dtruss", "directed", "prob", "probtruss", "mdc", "qdc"} {
+		if _, err := ParseAlgo(spelling); !errors.Is(err, ErrBadParam) {
+			t.Errorf("ParseAlgo(%q) err = %v, want ErrBadParam", spelling, err)
+		}
+	}
+	if names := AlgoNames(); len(names) != int(algoEnd) {
+		t.Fatalf("AlgoNames lists %d algos, registry has %d", len(names), algoEnd)
 	}
 }
 

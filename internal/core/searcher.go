@@ -17,10 +17,6 @@ import (
 // Searcher safely serves any number of concurrent queries.
 type Searcher struct {
 	ix *trussindex.Index
-
-	// probs caches the synthetic edge-probability vector for AlgoProbTruss
-	// (see models.go); built lazily on the first probabilistic query.
-	probs probStore
 }
 
 // NewSearcher wraps a prebuilt truss index.
@@ -276,27 +272,11 @@ func connectedOn(mu *graph.Mutable, q []int, ws *trussindex.Workspace) bool {
 	return true
 }
 
-// verifyResult re-checks a finished result (Request.Verify): the CTC
-// conditions for the undirected truss algorithms, or Q-membership plus
-// connectivity for the ported models, whose "k" is not an undirected
-// trussness (cycle support for DTruss, probabilistic trussness for
-// ProbTruss, minimum degree for MDC, nothing for QDC).
+// verifyResult re-checks a finished result (Request.Verify) against the CTC
+// conditions: a connected k-truss containing Q.
 func verifyResult(res *Result) error {
 	c := &res.Community
-	sub := c.Subgraph()
-	switch res.Stats.Algo {
-	case AlgoDTruss, AlgoProbTruss, AlgoMDC, AlgoQDC:
-		for _, v := range c.Query {
-			if !sub.Present(v) {
-				return fmt.Errorf("core: %s dropped query vertex %d", c.Algorithm, v)
-			}
-		}
-		if !graph.Connected(sub, c.Query) {
-			return fmt.Errorf("core: %s produced a disconnected community", c.Algorithm)
-		}
-		return nil
-	}
-	if err := truss.VerifyCommunity(sub, c.K, c.Query); err != nil {
+	if err := truss.VerifyCommunity(c.Subgraph(), c.K, c.Query); err != nil {
 		return fmt.Errorf("core: %s produced an invalid community: %w", c.Algorithm, err)
 	}
 	return nil

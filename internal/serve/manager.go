@@ -24,11 +24,8 @@ import (
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/directed"
 	"repro/internal/graph"
-	"repro/internal/prob"
 	"repro/internal/steiner"
 	"repro/internal/telemetry"
 	"repro/internal/truss"
@@ -522,15 +519,12 @@ func cachedResult(res *core.Result, err error, req core.Request) (*core.Result, 
 }
 
 // cacheableErr reports whether a query failure is a deterministic property
-// of the epoch (and therefore cacheable): the "no such community" shapes of
-// every model. Cancellation and internal errors are never cached.
+// of the epoch (and therefore cacheable): the "no such community" shapes.
+// Cancellation and internal errors are never cached.
 func cacheableErr(err error) bool {
 	return errors.Is(err, trussindex.ErrNoCommunity) ||
 		errors.Is(err, truss.ErrNoCommunity) ||
-		errors.Is(err, steiner.ErrDisconnected) ||
-		errors.Is(err, directed.ErrNoCommunity) ||
-		errors.Is(err, prob.ErrNoCommunity) ||
-		errors.Is(err, baseline.ErrNoCommunity)
+		errors.Is(err, steiner.ErrDisconnected)
 }
 
 // QueryBatch answers the requests in order against one latest-epoch

@@ -21,7 +21,8 @@ import (
 // queries keep publishes and snapshot handoffs in flight on both sides
 // (run under -race in CI).
 
-// diffAlgos is the full request matrix: all eight algorithms.
+// diffAlgos is the full request matrix: all four algorithms, LCTC under
+// both seed metrics.
 func diffAlgos() []core.Request {
 	return []core.Request{
 		{Algo: core.AlgoLCTC},
@@ -29,10 +30,6 @@ func diffAlgos() []core.Request {
 		{Algo: core.AlgoBasic},
 		{Algo: core.AlgoBulkDelete},
 		{Algo: core.AlgoTrussOnly},
-		{Algo: core.AlgoDTruss},
-		{Algo: core.AlgoProbTruss, MinProb: 0.3},
-		{Algo: core.AlgoMDC},
-		{Algo: core.AlgoQDC},
 	}
 }
 

@@ -45,12 +45,11 @@ const gatherPollStride = 4096
 //     that lists it, to tolerate replication skew — yields every edge of
 //     the component.
 //  5. Merge: re-decompose the gathered union and run the search on it.
-//     Trussness, and every one of the eight algorithms, is a function of
+//     Trussness, and every one of the four algorithms, is a function of
 //     the connected component containing the query alone, so recomputing
 //     on the exact component equals the single-shard answer (the LCTC
 //     distance penalty's MaxTruss term shifts uniformly under component
-//     restriction, which preserves every argmin; edge probabilities are
-//     a pure function of endpoints).
+//     restriction, which preserves every argmin).
 func (r *Router) Query(ctx context.Context, req core.Request) (*core.Result, error) {
 	if len(r.mgrs) == 1 {
 		res, err := r.mgrs[0].Query(ctx, req)

@@ -6,10 +6,7 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/directed"
-	"repro/internal/prob"
 	"repro/internal/serve"
 	"repro/internal/steiner"
 	"repro/internal/telemetry"
@@ -153,10 +150,7 @@ func routerOutcome(err error) string {
 		return "deadline"
 	case errors.Is(err, trussindex.ErrNoCommunity),
 		errors.Is(err, truss.ErrNoCommunity),
-		errors.Is(err, steiner.ErrDisconnected),
-		errors.Is(err, directed.ErrNoCommunity),
-		errors.Is(err, prob.ErrNoCommunity),
-		errors.Is(err, baseline.ErrNoCommunity):
+		errors.Is(err, steiner.ErrDisconnected):
 		return "no_community"
 	case errors.Is(err, core.ErrEmptyQuery),
 		errors.Is(err, core.ErrVertexOutOfRange),

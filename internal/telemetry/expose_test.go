@@ -355,7 +355,7 @@ func TestCacheHitSkipsPhases(t *testing.T) {
 // algorithm from scrape one and late registrations cannot land in "_other".
 func TestTracerAlgoLabelPreregistration(t *testing.T) {
 	r := NewRegistry()
-	labels := []string{"LCTC", "Basic", "DTruss", "ProbTruss", "MDC", "QDC"}
+	labels := []string{"LCTC", "Basic", "BD", "Truss"}
 	NewTracer(r, TracerOptions{SlowThreshold: -1, AlgoLabels: labels})
 	var sb strings.Builder
 	if _, err := r.WriteTo(&sb); err != nil {
