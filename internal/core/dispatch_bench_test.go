@@ -49,7 +49,7 @@ func TestSearchDispatchZeroAllocOverhead(t *testing.T) {
 		runs   int
 		budget float64
 	}{
-		{AlgoLCTC, 50, 19},
+		{AlgoLCTC, 50, 18},
 		{AlgoBasic, 10, 4},
 		{AlgoTrussOnly, 50, 4},
 	} {

@@ -180,7 +180,7 @@ func (s *Searcher) expand(seed []int, kt int32, eta int, ws *trussindex.Workspac
 // q, and returns the q-component of that subgraph in a shell of the
 // workspace's Expansion (whose graph dec.G is), valid until the Expansion
 // hands that shell out again. The candidate subgraphs are built
-// incrementally: edges enter a resettable overlay in descending trussness
+// incrementally: edges enter a pooled overlay in descending trussness
 // order, so scanning k from the Lemma-1 bound downward inserts each edge at
 // most once. Cancellation is polled once per candidate level.
 func bestKTrussWithin(dec *truss.Decomposition, q []int, capK int32, ws *trussindex.Workspace) (*graph.Mutable, int32, error) {

@@ -69,7 +69,7 @@ func FuzzCompactGraph(f *testing.F) {
 		other, otherVerts := compactSource(compactSizes[(int(size)+3)%len(compactSizes)])
 		buildCompact(t, &c, other, otherVerts)
 		g := &c.G
-		shell, buf := NewResettableShell(g), NewMutable(g, nil)
+		shell, buf := NewMutableShell(g), NewMutable(g, nil)
 		for e := int32(0); e < int32(g.M()); e += 3 {
 			shell.AddEdgeByID(e)
 		}

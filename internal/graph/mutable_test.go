@@ -72,15 +72,25 @@ func TestMutableDeleteEdge(t *testing.T) {
 }
 
 func TestMutableAddEdge(t *testing.T) {
-	mu := NewMutableFromEdges(5, nil)
+	mu := NewMutableShell(FromEdges(5, [][2]int{{1, 3}, {2, 4}}))
 	if mu.AddEdge(3, 3) {
 		t.Fatal("self-loop accepted")
 	}
-	if !mu.AddEdge(1, 3) || mu.AddEdge(1, 3) {
+	if !mu.AddEdge(1, 3) || mu.AddEdge(3, 1) {
 		t.Fatal("AddEdge idempotence broken")
 	}
 	if mu.N() != 2 || mu.M() != 1 {
 		t.Fatalf("N=%d M=%d, want 2 1", mu.N(), mu.M())
+	}
+	// A pair the base graph does not hold is ignored, like an out-of-range
+	// one.
+	for _, p := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {1, 5}} {
+		if mu.AddEdge(p[0], p[1]) {
+			t.Fatalf("non-base pair %v accepted", p)
+		}
+		if mu.N() != 2 || mu.M() != 1 || mu.HasEdge(p[0], p[1]) {
+			t.Fatalf("non-base pair %v: N=%d M=%d HasEdge=%v, want 2 1 false", p, mu.N(), mu.M(), mu.HasEdge(p[0], p[1]))
+		}
 	}
 }
 
@@ -94,19 +104,6 @@ func TestMutableCloneIndependent(t *testing.T) {
 	}
 	if cp.N() != mu.N()-1 {
 		t.Fatalf("clone N=%d, want %d", cp.N(), mu.N()-1)
-	}
-}
-
-func TestMutableRemoveIsolated(t *testing.T) {
-	mu := NewMutableFromEdges(4, []EdgeKey{Key(0, 1)})
-	mu.AddEdge(2, 3)
-	mu.DeleteEdge(2, 3)
-	removed := mu.RemoveIsolated(map[int]bool{2: true})
-	if removed != 1 {
-		t.Fatalf("removed %d isolated, want 1 (vertex 3)", removed)
-	}
-	if !mu.Present(2) || mu.Present(3) {
-		t.Fatal("keep-set not honored")
 	}
 }
 

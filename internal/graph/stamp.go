@@ -64,7 +64,7 @@ func (s *Stamp) Visit(i int32) bool {
 // proportional to the traversed subgraph, not the ID space. A new stamp
 // epoch is started on entry.
 func BFSMarked(g Adjacency, src int, dist []int32, st *Stamp, queue []int32) []int32 {
-	if mu, ok := g.(*Mutable); ok && mu.OverlayPure() {
+	if mu, ok := g.(*Mutable); ok {
 		// The overlay fast path iterates the base CSR directly: no
 		// per-vertex interface call, and no visit closure escaping to the
 		// heap once per BFS — the hot peeling loops run thousands of these.

@@ -79,18 +79,6 @@ func InducedMutable(mu *Mutable, vertices []int) *Mutable {
 			out.deg[v]++
 		}
 	})
-	if mu.extraM > 0 {
-		for v, nb := range mu.extra {
-			if !in[v] {
-				continue
-			}
-			for _, w := range nb {
-				if int(w) > v && in[w] {
-					out.AddEdge(v, int(w))
-				}
-			}
-		}
-	}
 	return out
 }
 

@@ -33,9 +33,9 @@ func countCommonRows(a, b []uint64) int32 {
 	return int32(c)
 }
 
-// MutableEdgeSupports computes per-edge supports for the current state of an
-// overlay-pure Mutable subgraph. The result is indexed by the base graph's
-// edge IDs; entries of dead edges are zero.
+// MutableEdgeSupports computes per-edge supports for the current state of a
+// Mutable subgraph. The result is indexed by the base graph's edge IDs;
+// entries of dead edges are zero.
 func MutableEdgeSupports(mu *Mutable) []int32 {
 	return MutableEdgeSupportsInto(mu, make([]int32, mu.base.M()))
 }
@@ -45,7 +45,6 @@ func MutableEdgeSupports(mu *Mutable) []int32 {
 // entries of live edges are written; entries of dead edges keep whatever
 // stale values the buffer held, which the maintenance cascade never reads.
 func MutableEdgeSupportsInto(mu *Mutable, sup []int32) []int32 {
-	mu.requirePure("MutableEdgeSupports")
 	sup = sup[:mu.base.M()]
 	if len(mu.live) > 0 {
 		w := mu.w

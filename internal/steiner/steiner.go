@@ -109,8 +109,10 @@ func (m *Metric) treeFromPairs(uniq []int, dist []float64, thr []int32, ws *trus
 		}
 	}
 	// Expand MST edges into actual paths at their realizing thresholds. The
-	// paths consist of indexed-graph edges, so the union is a bitset overlay.
-	union := ws.Shell()
+	// union of the paths is a sorted, deduplicated list of arcs v*n+u, both
+	// directions, so v's union neighbours are one ascending run of it.
+	n := m.ix.Graph().N()
+	arcs := ws.Victims[:0]
 	for _, e := range mst {
 		if err := ws.Canceled(); err != nil {
 			return nil, err
@@ -126,94 +128,80 @@ func (m *Metric) treeFromPairs(uniq []int, dist []float64, thr []int32, ws *trus
 			return nil, ErrDisconnected
 		}
 		for i := 0; i+1 < len(path); i++ {
-			union.AddEdge(path[i], path[i+1])
+			a, b := path[i], path[i+1]
+			arcs = append(arcs, a*n+b, b*n+a)
 		}
 	}
-	for _, v := range uniq {
-		union.EnsureVertex(v)
-	}
-	return treeFromUnion(m.ix, union, uniq, totalWeight, ws)
+	slices.Sort(arcs)
+	arcs = slices.Compact(arcs)
+	ws.Victims = arcs
+	return treeFromUnion(m.ix, arcs, uniq, totalWeight, ws)
 }
 
-// treeFromUnion extracts a BFS spanning tree of the union subgraph and
-// repeatedly prunes non-terminal leaves. union must be a workspace shell of
-// the indexed graph; the returned Tree holds fresh copies of everything.
-func treeFromUnion(ix *trussindex.Index, union *graph.Mutable, terminals []int, weight float64, ws *trussindex.Workspace) (*Tree, error) {
-	termEpoch := ws.StampB.Next()
-	for _, v := range terminals {
-		ws.StampB.Mark[v] = termEpoch
-	}
-	// BFS spanning tree from the first terminal, carrying base edge IDs so
-	// tree edges revive bits without per-edge lookups.
+// treeFromUnion takes the BFS spanning tree of the path union from the
+// first terminal, visiting each vertex's union neighbours in ascending
+// order, and keeps of it the vertices whose BFS subtree holds a terminal:
+// the tree that pruning non-terminal leaves to a fixpoint leaves. arcs is
+// the union as sorted arcs v*n+u over the indexed graph's n vertices; the
+// returned Tree holds fresh copies of everything.
+func treeFromUnion(ix *trussindex.Index, arcs []int, terminals []int, weight float64, ws *trussindex.Workspace) (*Tree, error) {
+	n := ix.Graph().N()
 	root := terminals[0]
-	tree := ws.Shell()
-	tree.EnsureVertex(root)
-	seen := ws.StampA
+	// ValA under StampA is each reached vertex's BFS parent.
+	seen, parent := ws.StampA, ws.ValA
 	seen.Next()
 	seen.Set(int32(root))
-	queue := ws.QueueA[:0]
-	queue = append(queue, int32(root))
+	queue := append(ws.QueueA[:0], int32(root))
 	for head := 0; head < len(queue); head++ {
 		v := int(queue[head])
-		union.ForEachIncidentEdge(v, func(e int32, u int) {
-			if seen.Visit(int32(u)) {
-				tree.AddEdgeByID(e)
-				queue = append(queue, int32(u))
+		i, _ := slices.BinarySearch(arcs, v*n)
+		for ; i < len(arcs) && arcs[i] < (v+1)*n; i++ {
+			if u := int32(arcs[i] - v*n); seen.Visit(u) {
+				parent[u] = int32(v)
+				queue = append(queue, u)
 			}
-		})
+		}
 	}
 	ws.QueueA = queue
+	keep := ws.StampB
+	keep.Next()
 	for _, v := range terminals {
-		if !tree.Present(v) {
+		if !seen.Marked(int32(v)) {
 			return nil, ErrDisconnected
 		}
+		keep.Set(int32(v))
 	}
-	// Prune non-terminal leaves until fixpoint: seed the candidate queue
-	// with the tree's touched vertices, then chase each deletion's
-	// neighbor, so pruning costs O(tree), not passes over Vertices().
-	cand := ws.QueueB[:0]
-	for _, vq := range tree.TouchedVertices() {
-		cand = append(cand, vq)
+	// Backwards, the BFS order reaches a vertex after its whole subtree, so
+	// one pass settles which vertices to keep; a kept vertex keeps its
+	// parent.
+	kept := 1 // the root, a terminal
+	for i := len(queue) - 1; i > 0; i-- {
+		if v := queue[i]; keep.Marked(v) {
+			keep.Set(parent[v])
+			kept++
+		}
 	}
-	for head := 0; head < len(cand); head++ {
-		v := int(cand[head])
-		if !tree.Present(v) || tree.Degree(v) > 1 || ws.StampB.Mark[v] == termEpoch {
+	verts := make([]int, 0, kept)
+	edges := make([]graph.EdgeKey, 0, kept-1)
+	minTruss := int32(math.MaxInt32)
+	for i, vq := range queue {
+		if !keep.Marked(vq) {
 			continue
 		}
-		next := -1
-		tree.ForEachIncidentEdge(v, func(_ int32, u int) { next = u })
-		tree.DeleteVertex(v)
-		if next >= 0 {
-			cand = append(cand, int32(next))
+		v := int(vq)
+		verts = append(verts, v)
+		if i == 0 {
+			continue
 		}
+		p := int(parent[v])
+		edges = append(edges, graph.Key(p, v))
+		minTruss = min(minTruss, ix.EdgeTruss(p, v))
 	}
-	ws.QueueB = cand
-	// Materialize the result (fresh storage: the shells are reused by the
-	// next query).
-	var (
-		edges    []graph.EdgeKey
-		minTruss = int32(math.MaxInt32)
-	)
-	tree.ForEachTouchedLiveEdge(func(e int32, _, _ int) {
-		edges = append(edges, ix.Graph().EdgeKeyOf(e))
-		if t := ix.EdgeTrussByID(e); t < minTruss {
-			minTruss = t
-		}
-	})
-	slices.Sort(edges)
 	if len(edges) == 0 {
-		minTruss = ix.VertexTruss(terminals[0])
-	}
-	verts := make([]int, 0, len(edges)+1)
-	for _, vq := range tree.TouchedVertices() {
-		if tree.Present(int(vq)) {
-			verts = append(verts, int(vq))
-		}
+		minTruss = ix.VertexTruss(root)
 	}
 	slices.Sort(verts)
-	// Touched-vertex lists can repeat a vertex that was deleted and
-	// re-added, so dedupe after sorting.
-	verts = slices.Compact(verts)
+	slices.Sort(edges)
 	return &Tree{
 		Terminals: append([]int(nil), terminals...),
 		Vertices:  verts,

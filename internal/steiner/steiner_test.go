@@ -2,8 +2,10 @@ package steiner
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -238,48 +240,79 @@ func TestSteinerDisconnected(t *testing.T) {
 	}
 }
 
+// TestSteinerRandomTreeInvariants holds Build to the definition of its
+// output on random graphs: a tree of graph edges over the distinct
+// terminals with no non-terminal leaf, whose Vertices are the terminals
+// plus the endpoints of its Edges and whose MinTruss is the least τ on
+// them (the terminal's τ for a one-vertex tree). Queries have 2 to 6
+// vertices, drawn with repetition.
 func TestSteinerRandomTreeInvariants(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		g := randomGraph(seed, 25, 0.15)
 		ix := trussindex.Build(g)
 		rng := rand.New(rand.NewSource(seed))
-		q := []int{rng.Intn(25), rng.Intn(25), rng.Intn(25)}
-		tr, err := Build(ix, q, 3)
-		if errors.Is(err, ErrDisconnected) {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if len(tr.Edges) != len(tr.Vertices)-1 {
-			t.Fatalf("seed %d: not a tree (%d vertices, %d edges)", seed, len(tr.Vertices), len(tr.Edges))
-		}
-		mu := graph.NewMutableFromEdges(g.N(), tr.Edges)
-		for _, v := range tr.Vertices {
-			mu.EnsureVertex(v)
-		}
-		if !graph.Connected(mu, tr.Terminals) {
-			t.Fatalf("seed %d: terminals not connected", seed)
-		}
-		if graph.ComponentCount(mu) != 1 {
-			t.Fatalf("seed %d: tree not connected", seed)
-		}
-		// Every tree edge must exist in G.
-		for _, e := range tr.Edges {
-			u, v := e.Endpoints()
-			if !g.HasEdge(u, v) {
-				t.Fatalf("seed %d: phantom edge %s", seed, e)
+		for size := 2; size <= 6; size++ {
+			q := make([]int, size)
+			for i := range q {
+				q[i] = rng.Intn(25)
+			}
+			q[size-1] = q[rng.Intn(size)] // at least one repeat
+			for _, gamma := range []float64{0, 3} {
+				tr, err := Build(ix, q, gamma)
+				if errors.Is(err, ErrDisconnected) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("seed %d q %v γ %v: %v", seed, q, gamma, err)
+				}
+				checkTree(t, fmt.Sprintf("seed %d q %v γ %v", seed, q, gamma), g, ix, tr)
 			}
 		}
-		// Non-terminal leaves must have been pruned.
-		isQ := map[int]bool{}
-		for _, v := range tr.Terminals {
-			isQ[v] = true
+	}
+}
+
+func checkTree(t *testing.T, name string, g *graph.Graph, ix *trussindex.Index, tr *Tree) {
+	t.Helper()
+	if !slices.Equal(tr.Terminals, dedupe(tr.Terminals)) {
+		t.Fatalf("%s: terminals %v not distinct and ascending", name, tr.Terminals)
+	}
+	if len(tr.Edges) != len(tr.Vertices)-1 {
+		t.Fatalf("%s: not a tree (%d vertices, %d edges)", name, len(tr.Vertices), len(tr.Edges))
+	}
+	mu := graph.NewMutableFromEdges(g.N(), tr.Edges)
+	for _, v := range tr.Vertices {
+		mu.EnsureVertex(v)
+	}
+	if !graph.Connected(mu, tr.Terminals) {
+		t.Fatalf("%s: terminals not connected", name)
+	}
+	if graph.ComponentCount(mu) != 1 {
+		t.Fatalf("%s: tree not connected", name)
+	}
+	// Vertices are the terminals plus the endpoints of Edges, sorted.
+	want := slices.Clone(tr.Terminals)
+	minTruss := int32(math.MaxInt32)
+	for _, e := range tr.Edges {
+		u, v := e.Endpoints()
+		if !g.HasEdge(u, v) {
+			t.Fatalf("%s: phantom edge %s", name, e)
 		}
-		for _, v := range tr.Vertices {
-			if mu.Degree(v) <= 1 && !isQ[v] && len(tr.Vertices) > 1 {
-				t.Fatalf("seed %d: unpruned non-terminal leaf %d", seed, v)
-			}
+		want = append(want, u, v)
+		minTruss = min(minTruss, ix.EdgeTruss(u, v))
+	}
+	if len(tr.Edges) == 0 {
+		minTruss = ix.VertexTruss(tr.Terminals[0])
+	}
+	if want = dedupe(want); !slices.Equal(tr.Vertices, want) {
+		t.Fatalf("%s: Vertices %v, want terminals plus edge endpoints %v", name, tr.Vertices, want)
+	}
+	if tr.MinTruss != minTruss {
+		t.Fatalf("%s: MinTruss %d, want the least edge τ %d", name, tr.MinTruss, minTruss)
+	}
+	// Non-terminal leaves must have been pruned.
+	for _, v := range tr.Vertices {
+		if mu.Degree(v) <= 1 && !slices.Contains(tr.Terminals, v) {
+			t.Fatalf("%s: unpruned non-terminal leaf %d", name, v)
 		}
 	}
 }

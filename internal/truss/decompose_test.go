@@ -265,7 +265,7 @@ func TestDecomposeNetworkLabels(t *testing.T) {
 // common case for freshly wrapped graphs), the base is decomposed directly;
 // otherwise the live subgraph is frozen first.
 func DecomposeMutable(mu *graph.Mutable) *Decomposition {
-	if mu.OverlayPure() && mu.M() == mu.Base().M() {
+	if mu.M() == mu.Base().M() {
 		d := Decompose(mu.Base())
 		if len(d.VertexTruss) < mu.NumIDs() {
 			vt := make([]int32, mu.NumIDs())

@@ -53,14 +53,11 @@ func NewIncremental(g *graph.Graph) *Incremental {
 	return ResumeIncremental(graph.NewMutable(g, nil), d.Truss)
 }
 
-// ResumeIncremental wraps an existing live state: mu must be overlay-pure
-// and tau must hold the exact trussness of every live edge of mu, indexed by
-// base edge IDs (entries of dead edges are ignored and overwritten). The
-// caller hands over ownership of both.
+// ResumeIncremental wraps an existing live state: tau must hold the exact
+// trussness of every live edge of mu, indexed by base edge IDs (entries of
+// dead edges are ignored and overwritten). The caller hands over ownership
+// of both.
 func ResumeIncremental(mu *graph.Mutable, tau []int32) *Incremental {
-	if !mu.OverlayPure() {
-		panic("truss: ResumeIncremental requires an overlay-pure Mutable")
-	}
 	if len(tau) != mu.Base().M() {
 		panic("truss: ResumeIncremental labels must cover the base edge-ID space")
 	}

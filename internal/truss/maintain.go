@@ -27,10 +27,8 @@ func (s *MaintainScratch) grow(m int) {
 // the dense support table sup (indexed by mu's base edge IDs) in place.
 // Finally it drops vertices left isolated.
 //
-// mu must be overlay-pure (all edges belong to its base graph); every
-// subgraph the search algorithms feed here is. The cascade is allocation-
-// light: the pending set is a bitset over base edge IDs, so the steady state
-// does no hashing.
+// The cascade is allocation-light: the pending set is a bitset over mu's
+// base edge IDs, so the steady state does no hashing.
 //
 // It returns the vertices removed (vd plus cascade victims) and the base
 // edge IDs of every edge deleted, so callers like Algorithm 1 can stamp an
@@ -44,9 +42,6 @@ func (s *MaintainScratch) grow(m int) {
 // never produce: every subgraph they peel is an edge-connected component
 // plus query vertices) is not reported.
 func MaintainKTrussScratch(mu *graph.Mutable, sup []int32, k int32, vd []int, s *MaintainScratch) (removedVerts []int, removedEdges []int32) {
-	if !mu.OverlayPure() {
-		panic("truss: MaintainKTrussScratch requires an overlay-pure Mutable")
-	}
 	base := mu.Base()
 	s.grow(base.M())
 	queue := s.queue[:0]

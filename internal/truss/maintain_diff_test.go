@@ -38,7 +38,11 @@ func TestMaintainKTrussScratchDifferential(t *testing.T) {
 		mu := graph.NewMutable(g, nil)
 		sup := graph.MutableEdgeSupports(mu)
 		DropBelowSupport(mu, sup, k)
-		mu.RemoveIsolated(nil)
+		for v := 0; v < g.N(); v++ {
+			if mu.Present(v) && mu.Degree(v) == 0 {
+				mu.DeleteVertex(v)
+			}
+		}
 
 		rng := gen.NewRNG(uint64(gi)*7919 + 3)
 		chosen := map[int]bool{}

@@ -25,12 +25,11 @@ func ReadPoolStats() (acquires, fresh, releases int64) {
 }
 
 // Workspace is the pooled per-query scratch of an Index: epoch-stamped
-// visit marks and value arrays, reusable BFS queues, and two resettable
-// shell overlays of the indexed graph.
-// All resets are O(touched) — an epoch bump for the stamps, touched-word
-// clearing for the shells — so steady-state queries neither allocate nor
-// scan O(n + m). A query that peels also borrows an Expansion, which holds
-// the graph it peels and is pooled apart from any index.
+// visit marks and value arrays and reusable vertex and edge lists. It holds
+// no overlay of the indexed graph. A reset is an epoch bump, so
+// steady-state queries neither allocate nor scan O(n + m) of the index. A
+// query that peels also borrows an Expansion, which holds the graph it
+// peels and is pooled apart from any index.
 //
 // Ownership rules:
 //   - A Workspace belongs to the Index that created it and must only be
@@ -39,9 +38,9 @@ func ReadPoolStats() (acquires, fresh, releases int64) {
 //   - A Workspace serves one query at a time; concurrent queries each
 //     acquire their own (AcquireWorkspace is cheap after warm-up).
 //   - What a method returns in workspace storage (FindG0W's and
-//     FindKTrussW's Expansion, Shell's overlays) is valid until the next
-//     query on the workspace or its Release; core.Search copies its answer
-//     out before either.
+//     FindKTrussW's Expansion) is valid until the next query on the
+//     workspace or its Release; core.Search copies its answer out before
+//     either.
 //   - Release returns the workspace to the pool; using it afterwards is a
 //     data race.
 type Workspace struct {
@@ -70,16 +69,12 @@ type Workspace struct {
 	// lists). Code that grows them must store the grown slice back.
 	QueueA, QueueB []int32
 
-	// Victims is a reusable vertex or edge list (a peel round's victims).
+	// Victims is a reusable vertex or edge list: a peel round's victims, and
+	// during the Steiner seed the union of its paths as sorted arcs v*n+u.
 	Victims []int
 
 	// Maintain is the reusable scratch of the k-truss maintenance cascade.
 	Maintain truss.MaintainScratch
-
-	// shells are resettable overlays of the indexed graph, handed out
-	// round-robin by Shell.
-	shells   [2]*graph.Mutable
-	shellCur int
 
 	// expansion is the peel scratch borrowed by Expansion, nil until then.
 	expansion *Expansion
@@ -168,25 +163,6 @@ const cancelCheckInterval = 1 << 12
 // Index returns the owning index.
 func (ws *Workspace) Index() *Index { return ws.ix }
 
-// Shell returns an empty resettable overlay of the indexed graph. Two
-// shells are kept and handed out alternately, matching the worst
-// simultaneous need of the query paths; a third concurrent request would
-// reset the oldest shell, so callers must not hold more than two at once.
-func (ws *Workspace) Shell() *graph.Mutable { return nextShell(&ws.shells, &ws.shellCur, ws.ix.g) }
-
-// nextShell resets and returns the older of two pooled shells over g,
-// creating it on first use.
-func nextShell(shells *[2]*graph.Mutable, cur *int, g *graph.Graph) *graph.Mutable {
-	i := *cur & 1
-	*cur++
-	if shells[i] == nil {
-		shells[i] = graph.NewResettableShell(g)
-	} else {
-		shells[i].Reset(g)
-	}
-	return shells[i]
-}
-
 // Expansion is the scratch of the part of a query that peels: the graph it
 // peels as a compact relabelled graph — G0 for Basic, BulkDelete and
 // TrussOnly (FindG0W, FindKTrussW), the η-bounded expansion for LCTC — the
@@ -221,9 +197,20 @@ func (x *Expansion) SetQuery(q []int) {
 	}
 }
 
-// Shell returns an empty resettable overlay of the compact graph; see
-// Workspace.Shell for how many may be held at once.
-func (x *Expansion) Shell() *graph.Mutable { return nextShell(&x.shells, &x.shellCur, &x.G) }
+// Shell returns an empty overlay of the compact graph. Two shells are kept
+// and handed out alternately, matching the worst simultaneous need of the
+// query paths; a third request resets the oldest shell, so callers must not
+// hold more than two at once.
+func (x *Expansion) Shell() *graph.Mutable {
+	i := x.shellCur & 1
+	x.shellCur++
+	if x.shells[i] == nil {
+		x.shells[i] = graph.NewMutableShell(&x.G)
+	} else {
+		x.shells[i].Reset(&x.G)
+	}
+	return x.shells[i]
+}
 
 // Whole returns an overlay holding all of the compact graph, for a peel to
 // delete from. It is one pooled overlay, refilled by every call.
