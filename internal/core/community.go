@@ -16,9 +16,12 @@ import (
 
 // Community is the result of a community search: a connected k-truss
 // subgraph containing the query vertices. It stores the subgraph as its
-// sorted vertex list plus one bit per edge of the index's graph, so a
-// retained answer costs the index's edge count in bits and no per-vertex
-// array of the index; Subgraph rebuilds an overlay from them on demand.
+// sorted vertex list plus one bit per forward arc (v, w > v) of the index's
+// graph out of each listed vertex, laid out vertex after vertex in list
+// order. Every edge of the index's graph is the forward arc of exactly one
+// vertex, so the bits never number more than its edge count m, and on an
+// answer next to Q they number far fewer (~2 KB a cached dblp answer, with
+// the vertex list). Subgraph rebuilds an overlay from them on demand.
 type Community struct {
 	// Algorithm names the producing algorithm ("Basic", "BD", "LCTC", ...).
 	Algorithm string
@@ -28,7 +31,7 @@ type Community struct {
 	Query []int
 
 	vertices  []int
-	edges     graph.Bitset // over base's edge IDs
+	edges     graph.Bitset // over the vertices' forward arcs in base; see forwardArcs
 	m         int
 	queryDist int
 	base      *graph.Graph
@@ -38,44 +41,58 @@ type Community struct {
 // answer: the component of x.Q[0] in best, an overlay of x's compact graph,
 // plus any query vertex outside it, read off in local IDs and stored in
 // base's, the index's graph that x was cut from. Relabelling preserves
-// order, so ascending local IDs give the sorted vertex list through x.Vert.
-// dist(H, Q) is the largest eccentricity of a query vertex, from one BFS on
-// best per distinct query vertex — a BFS inside the component never sees
-// best's other fragments — or -1 when a query vertex is outside it.
+// order, so ascending local IDs give the sorted vertex list through x.Vert,
+// and a local edge's smaller endpoint is its smaller endpoint in base too.
+// The scan that lists the vertices lays out their forward arcs: local
+// vertex l gets bits ValB[l] on, its first forward edge in base is ValC[l].
+// A query vertex outside the component takes its place in the layout with
+// its bits clear. dist(H, Q) is the largest eccentricity of a query vertex,
+// from one BFS on best per distinct query vertex — a BFS inside the
+// component never sees best's other fragments — or -1 when a query vertex
+// is outside it.
 func handBack(c *Community, algo string, k int32, q []int, best *graph.Mutable, x *trussindex.Expansion, base *graph.Graph, ws *trussindex.Workspace) {
-	in := ws.StampA
-	comp := graph.BFSMarked(best, x.Q[0], ws.ValA, in, ws.QueueA)
+	in, dist, at, first := ws.StampA, ws.ValA, ws.ValB, ws.ValC
+	comp := graph.BFSMarked(best, x.Q[0], dist, in, ws.QueueA)
 	ws.QueueA = comp
-	qd := ws.ValA[comp[len(comp)-1]]
-	edges := graph.NewBitset(base.M())
-	m := 0
-	best.ForEachLiveEdge(func(e int32, u, _ int) {
-		if in.Marked(int32(u)) {
-			edges.Set(x.Edge[e])
-			m++
-		}
-	})
+	qd := dist[comp[len(comp)-1]]
 	n := len(comp)
 	for _, v := range x.Q {
 		if in.Visit(int32(v)) {
+			dist[v] = -1 // listed, but no edge of the answer
 			qd = -1
 			n++
 		}
 	}
 	vertices := make([]int, 0, n)
+	bits := int32(0)
 	for l, v := range x.Vert {
-		if in.Marked(int32(l)) {
-			vertices = append(vertices, int(v))
+		if !in.Marked(int32(l)) {
+			continue
+		}
+		vertices = append(vertices, int(v))
+		f, d := forwardArcs(base, int(v))
+		at[l], first[l] = bits, f
+		bits += d
+		if len(vertices) == n {
+			break
 		}
 	}
+	edges := graph.NewBitset(int(bits))
+	m := 0
+	best.ForEachLiveEdge(func(e int32, u, _ int) {
+		if in.Marked(int32(u)) && dist[u] >= 0 {
+			edges.Set(at[u] + x.Edge[e] - first[u])
+			m++
+		}
+	})
 	for i := 1; i < len(x.Q) && qd >= 0; i++ {
 		v := x.Q[i]
 		if slices.Contains(x.Q[:i], v) {
 			continue
 		}
-		reach := graph.BFSMarked(best, v, ws.ValA, in, ws.QueueA)
+		reach := graph.BFSMarked(best, v, dist, in, ws.QueueA)
 		ws.QueueA = reach
-		if far := ws.ValA[reach[len(reach)-1]]; far > qd {
+		if far := dist[reach[len(reach)-1]]; far > qd {
 			qd = far
 		}
 	}
@@ -89,6 +106,18 @@ func handBack(c *Community, algo string, k int32, q []int, best *graph.Mutable, 
 		queryDist: int(qd),
 		base:      base,
 	}
+}
+
+// forwardArcs returns the ID of the first edge (v, w > v) of g and how many
+// such forward arcs v has. Edge IDs ascend with the (min, max) endpoint
+// pair, so they are the consecutive IDs first..first+count-1.
+func forwardArcs(g *graph.Graph, v int) (first, count int32) {
+	nbrs := g.Neighbors(v)
+	i, _ := slices.BinarySearch(nbrs, int32(v))
+	if i == len(nbrs) {
+		return 0, 0
+	}
+	return g.NeighborEdgeIDs(v)[i], int32(len(nbrs) - i)
 }
 
 // N returns the number of vertices in the community.
@@ -114,9 +143,16 @@ func (c *Community) Contains(v int) bool {
 // callers outside the serving path build one.
 func (c *Community) Subgraph() *graph.Mutable {
 	sub := graph.NewMutableShell(c.base)
-	c.edges.ForEach(func(e int32) { sub.AddEdgeByID(e) })
+	bit := int32(0)
 	for _, v := range c.vertices {
 		sub.EnsureVertex(v)
+		first, d := forwardArcs(c.base, v)
+		for i := int32(0); i < d; i++ {
+			if c.edges.Get(bit + i) {
+				sub.AddEdgeByID(first + i)
+			}
+		}
+		bit += d
 	}
 	return sub
 }

@@ -14,6 +14,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -212,7 +213,7 @@ func (b *Builder) AddEdge(u, v int) {
 
 // Build produces the immutable Graph. The builder may be reused afterwards.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.keys, func(i, j int) bool { return b.keys[i] < b.keys[j] })
+	slices.Sort(b.keys)
 	deg := make([]int32, b.n)
 	m := 0
 	var prev EdgeKey = ^EdgeKey(0)

@@ -26,10 +26,11 @@ func liveHeap() uint64 {
 // TestCachedLCTCResultsAreSmall fills the default 1024-entry result cache
 // with distinct LCTC answers on dblp and bounds what each retained answer
 // costs. A Result holds its community as a vertex list plus one bit per
-// edge of the snapshot's graph, ~14 KB an entry on dblp's 94k edges. An
-// overlay of the snapshot's graph, with its per-vertex arrays, cost ~64 KB
-// an entry; one of the query's own frozen expansion pinned a private copy
-// of that graph (~225 KB an entry, a 565 MB server).
+// forward arc of a listed vertex in the snapshot's graph, ~2 KB an entry on
+// dblp. One bit per edge of the whole snapshot's graph cost ~13 KB an
+// entry; an overlay of that graph, with its per-vertex arrays, ~64 KB; one
+// of the query's own frozen expansion pinned a private copy of the graph
+// (~225 KB an entry, a 565 MB server).
 func TestCachedLCTCResultsAreSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("answers 1024 dblp queries")
@@ -73,7 +74,7 @@ func TestCachedLCTCResultsAreSmall(t *testing.T) {
 	}
 	perEntry := (int64(after) - int64(before)) / entries
 	t.Logf("heap in use per cached LCTC answer: %d KB", perEntry>>10)
-	if perEntry > 20<<10 {
-		t.Fatalf("heap in use per cached LCTC answer = %d KB, want <= 20 KB", perEntry>>10)
+	if perEntry > 4<<10 {
+		t.Fatalf("heap in use per cached LCTC answer = %d KB, want <= 4 KB", perEntry>>10)
 	}
 }

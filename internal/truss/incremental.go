@@ -312,10 +312,13 @@ func (inc *Incremental) Snapshot() *Decomposition {
 		Truss:       make([]int32, g.M()),
 		VertexTruss: make([]int32, g.N()),
 	}
-	for e := int32(0); e < int32(g.M()); e++ {
-		u, v := g.EdgeEndpoints(e)
-		d.Truss[e] = inc.tau[base.EdgeID(u, v)]
-	}
+	// Freeze adds the live base edges in ascending ID order, and edge IDs
+	// ascend with the endpoint pair, so frozen edge i is the i-th live one.
+	i := 0
+	inc.mu.ForEachLiveEdge(func(e int32, _, _ int) {
+		d.Truss[i] = inc.tau[e]
+		i++
+	})
 	d.finishVertexTruss()
 	return d
 }

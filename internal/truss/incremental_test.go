@@ -320,6 +320,28 @@ func TestIncrementalSnapshot(t *testing.T) {
 			t.Fatal("snapshot labels mutated by later updates")
 		}
 	}
+
+	// Random deletions spread over many vertices: a frozen edge's label is
+	// read off the live base edge of the same rank, so every rank must line
+	// up with a fresh decomposition of the frozen graph.
+	for seed := uint64(1); seed <= 4; seed++ {
+		g := gen.BarabasiAlbert(300, 6, seed)
+		inc := NewIncremental(g)
+		rng := gen.NewRNG(seed)
+		for range g.M() / 20 {
+			inc.DeleteEdgeByID(int32(rng.Intn(g.M())))
+		}
+		d := inc.Snapshot()
+		if d.G.M() != inc.mu.M() {
+			t.Fatalf("seed %d: snapshot has %d edges, live graph %d", seed, d.G.M(), inc.mu.M())
+		}
+		ref := Decompose(d.G)
+		for e := range ref.Truss {
+			if d.Truss[e] != ref.Truss[e] {
+				t.Fatalf("seed %d: snapshot τ[%d] = %d, want %d", seed, e, d.Truss[e], ref.Truss[e])
+			}
+		}
+	}
 }
 
 func TestResumeIncrementalRejectsBadState(t *testing.T) {
