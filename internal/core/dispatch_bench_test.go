@@ -49,9 +49,9 @@ func TestSearchDispatchZeroAllocOverhead(t *testing.T) {
 		runs   int
 		budget float64
 	}{
-		{AlgoLCTC, 50, 18},
-		{AlgoBasic, 10, 4},
-		{AlgoTrussOnly, 50, 4},
+		{AlgoLCTC, 50, 17},
+		{AlgoBasic, 10, 3},
+		{AlgoTrussOnly, 50, 3},
 	} {
 		allocs := testing.AllocsPerRun(tc.runs, func() {
 			if _, err := s.Search(ctx, Request{Q: q, Algo: tc.algo}); err != nil {

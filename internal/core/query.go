@@ -237,7 +237,7 @@ func (r *Request) gamma() float64 {
 // shrink. For Basic/BulkDelete/TrussOnly, Seed is FindG0W/FindKTrussW and
 // Peel the free-rider shrink (none for TrussOnly). For all four, Peel also
 // covers reading the answer off the peel's compact graph: its vertex list,
-// edge bits and query distance.
+// edge count and query distance.
 type QueryStats struct {
 	// Algo echoes the request's algorithm.
 	Algo Algo

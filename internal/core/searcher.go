@@ -16,11 +16,14 @@ import (
 // query checks a workspace out of the index's pool for its scratch, so one
 // Searcher safely serves any number of concurrent queries.
 type Searcher struct {
-	ix *trussindex.Index
+	ix  *trussindex.Index
+	tau []int32 // the index's edge trussness, which every answer shares
 }
 
 // NewSearcher wraps a prebuilt truss index.
-func NewSearcher(ix *trussindex.Index) *Searcher { return &Searcher{ix: ix} }
+func NewSearcher(ix *trussindex.Index) *Searcher {
+	return &Searcher{ix: ix, tau: ix.Decomposition().Truss}
+}
 
 // Index returns the underlying truss index.
 func (s *Searcher) Index() *trussindex.Index { return s.ix }
@@ -59,7 +62,7 @@ func (s *Searcher) searchGlobal(req Request, ws *trussindex.Workspace, res *Resu
 			return fmt.Errorf("core: %s: %w", req.Algo, err)
 		}
 	}
-	handBack(&res.Community, req.Algo.String(), k, req.Q, best, x, s.ix.Graph(), ws) // see searchLCTC
+	handBack(&res.Community, req.Algo.String(), k, k, req.Q, best, x, s.ix.Graph(), s.tau, ws) // see searchLCTC
 	st.Peel = time.Since(tp)
 	return nil
 }
@@ -115,10 +118,11 @@ func (s *Searcher) searchLCTC(req Request, ws *trussindex.Workspace, res *Result
 		return fmt.Errorf("core: LCTC: %w", err)
 	}
 	// Everything so far lives in the pooled expansion; the community is read
-	// off it into the index's ID spaces — its vertex list and edge bits are
-	// the only allocations after the seed — so that a retained Result keeps
-	// nothing of this query alive.
-	handBack(&res.Community, AlgoLCTC.String(), k, req.Q, best, x, s.ix.Graph(), ws)
+	// off it as its vertex set in the index's IDs — the gap-coded list is,
+	// with the copy of Q, the only allocation after the seed — so that a
+	// retained Result keeps nothing of this query alive. The expansion holds
+	// the edges of trussness >= kt, so kt is the answer's threshold.
+	handBack(&res.Community, AlgoLCTC.String(), k, kt, req.Q, best, x, s.ix.Graph(), s.tau, ws)
 	st.Peel = time.Since(tp)
 	return nil
 }
@@ -273,11 +277,18 @@ func connectedOn(mu *graph.Mutable, q []int, ws *trussindex.Workspace) bool {
 }
 
 // verifyResult re-checks a finished result (Request.Verify) against the CTC
-// conditions: a connected k-truss containing Q.
+// conditions — a connected k-truss containing Q — and holds the stored
+// answer to the subgraph Subgraph re-derives from it: the same vertices and
+// the same edge count.
 func verifyResult(res *Result) error {
 	c := &res.Community
-	if err := truss.VerifyCommunity(c.Subgraph(), c.K, c.Query); err != nil {
+	sub := c.Subgraph()
+	if err := truss.VerifyCommunity(sub, c.K, c.Query); err != nil {
 		return fmt.Errorf("core: %s produced an invalid community: %w", c.Algorithm, err)
+	}
+	if !slices.Equal(sub.Vertices(), c.Vertices()) || sub.M() != c.M() {
+		return fmt.Errorf("core: %s answer of %d vertices and %d edges re-derives as %d vertices and %d edges",
+			c.Algorithm, c.N(), c.M(), sub.N(), sub.M())
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ var ErrTooLarge = errors.New("exact: G0 too large for exhaustive search")
 // Because any optimal CTC is contained in the maximal connected k-truss G0,
 // the search enumerates vertex subsets of G0.
 func Solve(g *graph.Graph, q []int) (*Result, error) {
-	d := truss.DecomposeParallel(g)
+	d := truss.Decompose(g)
 	g0, k, err := truss.MaxConnectedKTruss(g, d, q)
 	if err != nil {
 		return nil, err

@@ -9,9 +9,8 @@
 // only when the dirty-edge count crosses a threshold or a deadline fires,
 // amortizing index construction over update batches. When a rebase falls
 // past Options.RebuildFraction into a full re-decomposition, the rebuild
-// runs truss.DecomposeParallel, so the writer stall — and with it the
-// maximum snapshot staleness — is bounded by the parallel build time rather
-// than a single-core peel.
+// runs the serial truss.Decompose, so the writer stall — and with it the
+// maximum snapshot staleness — is bounded by one serial peel of the graph.
 package serve
 
 import (

@@ -24,18 +24,42 @@ func liveHeap() uint64 {
 }
 
 // TestCachedLCTCResultsAreSmall fills the default 1024-entry result cache
-// with distinct LCTC answers on dblp and bounds what each retained answer
-// costs. A Result holds its community as a vertex list plus one bit per
-// forward arc of a listed vertex in the snapshot's graph, ~2 KB an entry on
-// dblp. One bit per edge of the whole snapshot's graph cost ~13 KB an
-// entry; an overlay of that graph, with its per-vertex arrays, ~64 KB; one
-// of the query's own frozen expansion pinned a private copy of the graph
-// (~225 KB an entry, a 565 MB server).
+// with distinct LCTC answers and bounds what each retained answer costs: on
+// dblp's ground-truth queries of 2-4 vertices, and on facebook's random
+// pairs, whose answers span hundreds of vertices. A Result holds its
+// community as its gap-coded vertex list, about a byte a vertex: ~1 KB an
+// entry on dblp, ~1.4 KB on facebook. Edge bits beside a []int list cost
+// 2.3 and 8.8 KB; an answer that pins an overlay of the snapshot's graph, or
+// the query's own expansion, tens to hundreds of KB.
 func TestCachedLCTCResultsAreSmall(t *testing.T) {
 	if testing.Short() {
-		t.Skip("answers 1024 dblp queries")
+		t.Skip("answers 1024 dblp and 1024 facebook queries")
 	}
-	nw, err := gen.NetworkByName("dblp")
+	t.Run("dblp", func(t *testing.T) {
+		cachedAnswerBytes(t, "dblp", 2<<10, func(nw *gen.Network, rng *gen.RNG) [][]int {
+			var qs [][]int
+			for _, gq := range gen.QueriesFromGroundTruth(rng, nw.GroundTruth(), 1024, 2, 4) {
+				qs = append(qs, gq.Q)
+			}
+			return qs
+		})
+	})
+	t.Run("facebook", func(t *testing.T) {
+		cachedAnswerBytes(t, "facebook", 4<<10, func(nw *gen.Network, rng *gen.RNG) [][]int {
+			qs := make([][]int, 1024)
+			for i := range qs {
+				qs[i] = gen.RandomQuery(nw.Graph(), rng, 2)
+			}
+			return qs
+		})
+	})
+}
+
+// cachedAnswerBytes fills a fresh manager's result cache on the named
+// network with distinct queries drawn from draw, and fails if the heap in
+// use per cached answer exceeds bound bytes.
+func cachedAnswerBytes(t *testing.T, name string, bound int64, draw func(*gen.Network, *gen.RNG) [][]int) {
+	nw, err := gen.NetworkByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +72,12 @@ func TestCachedLCTCResultsAreSmall(t *testing.T) {
 	seen := map[string]bool{}
 	var qs [][]int
 	for len(qs) < entries+1 {
-		for _, gq := range gen.QueriesFromGroundTruth(rng, nw.GroundTruth(), entries, 2, 4) {
-			q := slices.Clone(gq.Q)
-			slices.Sort(q)
-			if key := fmt.Sprint(q); !seen[key] && len(qs) < entries+1 {
+		for _, q := range draw(nw, rng) {
+			sorted := slices.Clone(q)
+			slices.Sort(sorted)
+			if key := fmt.Sprint(sorted); !seen[key] && len(qs) < entries+1 {
 				seen[key] = true
-				qs = append(qs, gq.Q)
+				qs = append(qs, q)
 			}
 		}
 	}
@@ -73,8 +97,8 @@ func TestCachedLCTCResultsAreSmall(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want %d", got, entries)
 	}
 	perEntry := (int64(after) - int64(before)) / entries
-	t.Logf("heap in use per cached LCTC answer: %d KB", perEntry>>10)
-	if perEntry > 4<<10 {
-		t.Fatalf("heap in use per cached LCTC answer = %d KB, want <= 4 KB", perEntry>>10)
+	t.Logf("heap in use per cached LCTC answer on %s: %d B", name, perEntry)
+	if perEntry > bound {
+		t.Fatalf("heap in use per cached LCTC answer on %s = %d B, want <= %d B", name, perEntry, bound)
 	}
 }

@@ -14,9 +14,8 @@
 // work of a decomposition is graph.Peel's: on a graph without bit rows the
 // supports cost O(m^1.5) and each peeled edge at most twice the live degrees
 // of its endpoints at the time it is peeled; a small per-query graph with
-// rows pays an n/64-word AND per edge instead. DecomposeNaive
-// retains the original map-based implementation as a differential-testing
-// oracle.
+// rows pays an n/64-word AND per edge instead. The tests keep the original
+// map-based implementation, DecomposeNaive, as a differential oracle.
 package truss
 
 import (

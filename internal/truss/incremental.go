@@ -44,12 +44,12 @@ type Incremental struct {
 	mins      []int32
 }
 
-// NewIncremental decomposes g (with the parallel level-synchronous peel on
-// large graphs — this is the serving layer's cold-build and full-rebuild
-// entry point) and wraps it for incremental maintenance, starting with every
-// edge alive.
+// NewIncremental decomposes g with the serial Decompose — this is the
+// serving layer's cold-build and full-rebuild entry point, and the parallel
+// peel is slower at every worker count measured — and wraps it for
+// incremental maintenance, starting with every edge alive.
 func NewIncremental(g *graph.Graph) *Incremental {
-	d := DecomposeParallel(g)
+	d := Decompose(g)
 	return ResumeIncremental(graph.NewMutable(g, nil), d.Truss)
 }
 

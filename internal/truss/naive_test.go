@@ -9,8 +9,7 @@ import (
 // queue over map[EdgeKey]int32 supports. It is deliberately independent of
 // the array-based Decompose — different queue discipline, different support
 // bookkeeping — and exists as a differential-testing oracle and as the
-// seed-equivalent baseline for the decomposition benchmarks. Do not use it
-// on hot paths.
+// seed-equivalent baseline for the decomposition benchmarks.
 func DecomposeNaive(g *graph.Graph) *Decomposition {
 	mu := graph.NewMutable(g, nil)
 	m := mu.M()

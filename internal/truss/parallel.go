@@ -31,7 +31,9 @@ const frontierBlock = 64
 // this package cross-checks them edge for edge.
 //
 // Graphs below ParallelThreshold edges, and processes capped at one CPU,
-// take the serial bucket-queue path instead.
+// take the serial bucket-queue path instead. No production path calls it:
+// it was slower than Decompose at every worker count measured, and it stays
+// only for the benchmark ladder until that rung is deleted.
 func DecomposeParallel(g *graph.Graph) *Decomposition {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 || g.M() < ParallelThreshold {

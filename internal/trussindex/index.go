@@ -68,13 +68,12 @@ type Index struct {
 	free   []*Workspace
 }
 
-// Build constructs the index for g, running a truss decomposition first.
-// The decomposition is the level-synchronous parallel peel for graphs above
-// truss.ParallelThreshold edges (the serial bucket queue below it). It is
-// not faster than the serial truss.Decompose at any worker count measured;
-// it stays only until that peel is deleted.
+// Build constructs the index for g, running the serial truss.Decompose
+// first: the level-synchronous parallel peel was slower at every worker
+// count measured (BenchmarkDecomposeParallel on a 2-vCPU host: a 50k-edge
+// graph 24.7-29.4 ms against 17.1, dblp 46.2-59.5 against 36.4).
 func Build(g *graph.Graph) *Index {
-	return BuildFromDecomposition(g, truss.DecomposeParallel(g))
+	return BuildFromDecomposition(g, truss.Decompose(g))
 }
 
 // BuildFromDecomposition constructs the index from a precomputed
