@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -59,18 +60,35 @@ func checkAnswer(t *testing.T, head string, g *graph.Graph, c *Community) {
 // TestAnswerMatchesSubgraph checks that the answers handed back from the
 // peel's compact graph describe exactly the subgraph Subgraph re-derives, on
 // every LCTC golden query and every query global_golden.txt pins. The goldens
-// pin n and m but not the query distance.
+// pin n and m but not the query distance. On dblp it also holds every LCTC
+// and BD answer whose vertices all reach Q to Lemma 2,
+// qd <= Diameter() <= 2·qd: answers of real size, BD's G0-sized ones of up
+// to ~9k vertices among them.
 func TestAnswerMatchesSubgraph(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the facebook and dblp networks")
 	}
 	lctc, global := goldenSearches(t)
+	lemma2 := 0
 	for _, runs := range [][]goldenRun{lctc, global} {
 		for _, r := range runs {
-			if r.err == nil {
-				checkAnswer(t, r.head+" "+r.req.Algo.String(), r.g, &r.res.Community)
+			if r.err != nil {
+				continue
+			}
+			head := r.head + " " + r.req.Algo.String()
+			c := &r.res.Community
+			checkAnswer(t, head, r.g, c)
+			if !strings.HasSuffix(r.head, "dblp") || (r.req.Algo != AlgoLCTC && r.req.Algo != AlgoBulkDelete) || c.QueryDist() < 0 {
+				continue
+			}
+			lemma2++
+			if qd, d := c.QueryDist(), c.Diameter(); d < qd || d > 2*qd {
+				t.Errorf("%s %v: diameter %d outside Lemma 2's [%d, %d]", head, r.req.Q, d, qd, 2*qd)
 			}
 		}
+	}
+	if lemma2 < 100 {
+		t.Fatalf("Lemma 2 held on only %d dblp answers", lemma2)
 	}
 }
 
@@ -79,7 +97,9 @@ func TestAnswerMatchesSubgraph(t *testing.T) {
 // and on the golden facebook and dblp networks, and holds each answer to the
 // subgraph Subgraph re-derives from its vertex set: the same vertices, the
 // same edge count and, when every vertex reaches Q, a connected K-truss
-// containing Q. On the networks only LCTC and TrussOnly run: a random
+// containing Q. On the random graphs Diameter, which runs on a relabelled
+// copy, must also match the Subgraph's. On the networks only LCTC and
+// TrussOnly run: a random
 // query's G0 there spans thousands of vertices, and peeling it takes Basic
 // or BulkDelete a tenth of a second or more.
 func TestAnswerIsInducedKTruss(t *testing.T) {
@@ -133,6 +153,11 @@ func TestAnswerIsInducedKTruss(t *testing.T) {
 			if c.QueryDist() >= 0 {
 				if err := truss.VerifyCommunity(sub, c.K, c.Query); err != nil {
 					t.Errorf("%+v: %v", req, err)
+				}
+			}
+			if i >= networks {
+				if d, _ := graph.Diameter(sub); c.Diameter() != d {
+					t.Errorf("%+v: Diameter %d, its Subgraph's %d", req, c.Diameter(), d)
 				}
 			}
 		}

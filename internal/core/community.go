@@ -150,8 +150,8 @@ func (c *Community) Contains(v int) bool {
 // graph, isolated vertices included. Every call builds a new one, which the
 // caller owns: a Result shared by concurrent readers (the serve layer's
 // result cache hands one to every hit) hands each its own. It costs an
-// overlay of the index's graph, so only Request.Verify, Diameter and
-// callers outside the serving path build one.
+// overlay of the index's graph, so only Request.Verify and callers outside
+// the serving path build one.
 //
 // The edges are re-derived as the maximal K-truss of the subgraph that the
 // vertices induce on the edges of trussness >= t. That is H: H is a
@@ -176,38 +176,52 @@ func (c *Community) Subgraph() *graph.Mutable {
 		}
 	}
 	if sub.M() != c.m {
-		c.peelInduced(sub, vs)
+		lg, ids := c.relabel(vs)
+		h := c.kTruss(lg)
+		for l, e := range ids {
+			if !h.EdgeAlive(int32(l)) {
+				sub.DeleteEdgeByID(e)
+			}
+		}
 	}
 	return sub
 }
 
-// peelInduced deletes from sub, the graph that vs induces, every edge outside
-// its maximal K-truss, leaving the vertices listed. The peel runs on a copy
-// relabelled to 0..len(vs)-1, so the supports come from one triangle listing
-// of the induced graph rather than from the index graph's adjacency.
-// Relabelling preserves order, so local edge IDs follow sub's edge IDs.
-func (c *Community) peelInduced(sub *graph.Mutable, vs []int) {
-	b := graph.NewBuilder(len(vs), sub.M())
-	ids := make([]int32, 0, sub.M())
+// relabel returns the graph that vs, the community's sorted vertices,
+// induce on the index's edges of trussness >= t, relabelled to
+// 0..len(vs)-1, with the index's ID of each of its edges. Relabelling
+// preserves order, so local edge IDs follow the index's.
+func (c *Community) relabel(vs []int) (*graph.Graph, []int32) {
+	b := graph.NewBuilder(len(vs), c.m)
+	ids := make([]int32, 0, c.m)
 	for lu, u := range vs {
-		lw := lu
-		sub.ForEachIncidentEdge(u, func(e int32, w int) {
-			if w > u {
-				i, _ := slices.BinarySearch(vs[lw+1:], w)
-				lw += 1 + i
-				b.AddEdge(lu, lw)
-				ids = append(ids, e)
+		nbrs, eids := c.g.Neighbors(u), c.g.NeighborEdgeIDs(u)
+		j, _ := slices.BinarySearch(nbrs, int32(u))
+		lw := lu + 1 // vs[lw:] holds the candidates above the last neighbour
+		for ; j < len(nbrs); j++ {
+			w := int(nbrs[j])
+			if c.tau[eids[j]] < c.t {
+				continue
 			}
-		})
-	}
-	lg := b.Build()
-	local := graph.NewMutable(lg, nil)
-	truss.DropBelowSupport(local, graph.EdgeSupports(lg), c.K)
-	for l, e := range ids {
-		if !local.EdgeAlive(int32(l)) {
-			sub.DeleteEdgeByID(e)
+			i, in := slices.BinarySearch(vs[lw:], w)
+			lw += i
+			if in {
+				b.AddEdge(lu, lw)
+				ids = append(ids, eids[j])
+				lw++
+			}
 		}
 	}
+	return b.Build(), ids
+}
+
+// kTruss returns an overlay of lg, the community's relabelled induced
+// graph, peeled to its maximal K-truss. The supports come from one triangle
+// listing of lg rather than from the index graph's adjacency.
+func (c *Community) kTruss(lg *graph.Graph) *graph.Mutable {
+	h := graph.NewMutable(lg, nil)
+	truss.DropBelowSupport(h, graph.EdgeSupports(lg), c.K)
+	return h
 }
 
 // QueryDist returns dist(H, Q), the graph query distance (Definition 3),
@@ -223,21 +237,17 @@ func (c *Community) Density() float64 {
 	return 2 * float64(c.m) / (float64(n) * float64(n-1))
 }
 
-// parallelDiameterThreshold is the community size beyond which the exact
-// all-pairs BFS sweep is fanned out over multiple goroutines.
-const parallelDiameterThreshold = 512
-
-// Diameter returns the exact diameter of the community subgraph: an
-// all-pairs BFS over a fresh Subgraph, parallel for large communities, run
-// on every call.
+// Diameter returns the exact diameter of the community subgraph, computed
+// on every call by graph.Diameter (iFUB) on the community relabelled to
+// 0..N-1. When its vertices induce more than M edges, the relabelled graph
+// is peeled to its K-truss and frozen, so iFUB's BFSes skip no dead arcs. A
+// query vertex outside the component adds no distance.
 func (c *Community) Diameter() int {
-	sub := c.Subgraph()
-	var d int
-	if c.n > parallelDiameterThreshold {
-		d, _ = graph.DiameterParallel(sub, 0)
-	} else {
-		d, _ = graph.Diameter(sub)
+	h, _ := c.relabel(c.Vertices())
+	if h.M() != c.m {
+		h = c.kTruss(h).Freeze()
 	}
+	d, _ := graph.Diameter(h)
 	return d
 }
 

@@ -174,28 +174,3 @@ func TestDiameterBoundsLemma2(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDiameterLowerBound(t *testing.T) {
-	g := pathGraph(9)
-	if lb := DiameterLowerBound(g); lb != 8 {
-		t.Fatalf("double sweep on path = %d, want 8", lb)
-	}
-	f := func(seed int64) bool {
-		g := randomGraph(seed, 18, 0.25)
-		d, _ := Diameter(g)
-		return DiameterLowerBound(g) <= d
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEccentricity(t *testing.T) {
-	g := pathGraph(5)
-	if e, all := Eccentricity(g, 0); e != 4 || !all {
-		t.Fatalf("ecc(0) = %d,%v", e, all)
-	}
-	if e, all := Eccentricity(g, 2); e != 2 || !all {
-		t.Fatalf("ecc(2) = %d,%v", e, all)
-	}
-}

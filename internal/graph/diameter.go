@@ -1,92 +1,66 @@
 package graph
 
-// Diameter returns the exact diameter of the present vertices: the maximum
-// finite shortest-path length. If the graph is disconnected the diameter of
-// the largest eccentricity over reachable pairs is still returned along with
-// ok=false. An empty or single-vertex graph has diameter 0.
+import (
+	"cmp"
+	"slices"
+)
+
+// Diameter returns the exact diameter of the present vertices: the largest
+// finite shortest-path length. ok is false when the present vertices are
+// disconnected; the diameter is then the largest over the components. An
+// empty or single-vertex graph has diameter 0.
+//
+// It is iFUB (Crescenzi, Grossi, Habib, Lanzi & Marino, "On computing the
+// diameter of real-world undirected graphs", TCS 2013), one component at a
+// time. A BFS from a vertex u of highest degree sorts the component into
+// levels by distance from u. BFSes from the vertices of the deepest level
+// upward raise lb, the largest eccentricity found. Two vertices within
+// distance i of u are at most 2i apart, and a pair farther apart has an
+// endpoint below level i, whose eccentricity is in lb once the levels below
+// i are swept. So the sweep stops as soon as lb >= 2i, whether level i is
+// under way or not yet begun: lb is then the component's diameter.
 func Diameter(g Adjacency) (diam int, ok bool) {
 	n := g.NumIDs()
-	dist := make([]int32, n)
-	var queue []int32
-	present := 0
-	ok = true
-	for v := 0; v < n; v++ {
-		if !g.Present(v) {
-			continue
-		}
-		present++
-		queue = BFS(g, v, dist, queue)
-		reached := 0
-		for u := 0; u < n; u++ {
-			if !g.Present(u) {
-				continue
-			}
-			if dist[u] == Unreachable {
-				ok = false
-				continue
-			}
-			reached++
-			if int(dist[u]) > diam {
-				diam = int(dist[u])
-			}
-		}
-		_ = reached
-	}
-	if present == 0 {
-		return 0, true
-	}
-	return diam, ok
-}
-
-// Eccentricity returns the eccentricity of v among present vertices reachable
-// from it, and whether all present vertices were reachable.
-func Eccentricity(g Adjacency, v int) (int, bool) {
-	dist := Distances(g, v)
-	ecc := 0
-	all := true
-	for u := 0; u < g.NumIDs(); u++ {
-		if !g.Present(u) {
-			continue
-		}
-		if dist[u] == Unreachable {
-			all = false
-			continue
-		}
-		if int(dist[u]) > ecc {
-			ecc = int(dist[u])
-		}
-	}
-	return ecc, all
-}
-
-// DiameterLowerBound returns a fast double-sweep lower bound on the diameter:
-// run BFS from an arbitrary vertex, then BFS from the farthest vertex found.
-// Exact on trees, a lower bound in general.
-func DiameterLowerBound(g Adjacency) int {
-	n := g.NumIDs()
-	src := -1
-	for v := 0; v < n; v++ {
+	deg := make([]int32, n)
+	var order []int32
+	var v int
+	count := func(int) { deg[v]++ }
+	for v = 0; v < n; v++ {
 		if g.Present(v) {
-			src = v
-			break
+			g.ForEachNeighbor(v, count)
+			order = append(order, int32(v))
 		}
 	}
-	if src < 0 {
-		return 0
-	}
-	dist := Distances(g, src)
-	far, fd := src, int32(0)
-	for v, d := range dist {
-		if d != Unreachable && d > fd {
-			far, fd = v, d
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Or(cmp.Compare(deg[b], deg[a]), cmp.Compare(a, b)) })
+
+	dist := make([]int32, n)
+	seen := make([]bool, n)
+	var levels, queue []int32
+	var start []int // start[i] indexes the first vertex of level i in levels
+	components := 0
+	for _, u := range order {
+		if seen[u] {
+			continue
 		}
-	}
-	dist = Distances(g, far)
-	best := int32(0)
-	for _, d := range dist {
-		if d != Unreachable && d > best {
-			best = d
+		components++
+		levels = BFS(g, int(u), dist, levels)
+		start = start[:0]
+		for j, w := range levels {
+			seen[w] = true
+			if int(dist[w]) == len(start) {
+				start = append(start, j)
+			}
 		}
+		depth := len(start) - 1
+		lb, i := depth, depth
+		for j := len(levels) - 1; lb < 2*i; j-- {
+			queue = BFS(g, int(levels[j]), dist, queue)
+			lb = max(lb, int(dist[queue[len(queue)-1]]))
+			if j == start[i] {
+				i--
+			}
+		}
+		diam = max(diam, lb)
 	}
-	return int(best)
+	return diam, components <= 1
 }

@@ -1,14 +1,10 @@
 // Package quality implements the evaluation measures of Section 6:
 // precision/recall/F1 against ground-truth communities, kept-node
-// percentage (free-rider elimination), edge density, and the Lemma-2
-// diameter bounds used in Exp-4.
+// percentage (free-rider elimination), and the mean and median the tables
+// report.
 package quality
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "sort"
 
 // Overlap returns |A ∩ B| for two vertex sets.
 func Overlap(a, b []int) int {
@@ -73,15 +69,6 @@ func KeptPercent(resultN, g0N int) float64 {
 		return 0
 	}
 	return 100 * float64(resultN) / float64(g0N)
-}
-
-// DiameterBounds returns Exp-4's empirical bounds for a detected community
-// R with query set Q: LB-OPT = dist_R(R,Q) (no feasible subgraph can have
-// smaller... the optimal diameter is at least the minimum query distance)
-// and UB-OPT = 2·dist_R(R,Q) (Lemma 2).
-func DiameterBounds(sub *graph.Mutable, q []int) (lb, ub int) {
-	qd, _ := graph.GraphQueryDistance(sub, q)
-	return int(qd), 2 * int(qd)
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty).

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/graph"
 )
 
 func TestOverlap(t *testing.T) {
@@ -84,21 +82,6 @@ func TestKeptPercent(t *testing.T) {
 	}
 	if KeptPercent(10, 10) != 100 {
 		t.Fatal("identity percentage")
-	}
-}
-
-func TestDiameterBounds(t *testing.T) {
-	// Path 0-1-2-3-4 with Q={0}: query distance 4, so LB=4, UB=8.
-	g := graph.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	mu := graph.NewMutable(g, nil)
-	lb, ub := DiameterBounds(mu, []int{0})
-	if lb != 4 || ub != 8 {
-		t.Fatalf("bounds = %d, %d", lb, ub)
-	}
-	// Lemma 2 sanity: actual diameter within [lb, ub].
-	d, _ := graph.Diameter(mu)
-	if d < lb || d > ub {
-		t.Fatalf("diameter %d outside [%d, %d]", d, lb, ub)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -56,14 +57,15 @@ func TestCachedLCTCResultsAreSmall(t *testing.T) {
 }
 
 // cachedAnswerBytes fills a fresh manager's result cache on the named
-// network with distinct queries drawn from draw, and fails if the heap in
-// use per cached answer exceeds bound bytes.
+// network with distinct queries drawn from draw, two goroutines at a time,
+// and fails if the heap in use per cached answer exceeds bound bytes.
 func cachedAnswerBytes(t *testing.T, name string, bound int64, draw func(*gen.Network, *gen.RNG) [][]int) {
 	nw, err := gen.NetworkByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManagerFromIndex(trussindex.Build(nw.Graph()), Options{})
+	ix := trussindex.Build(nw.Graph())
+	m := NewManagerFromIndex(ix, Options{})
 	defer m.Close()
 	ctx := context.Background()
 
@@ -81,18 +83,36 @@ func cachedAnswerBytes(t *testing.T, name string, bound int64, draw func(*gen.Ne
 			}
 		}
 	}
-	// The first query warms the workspace pool; it stays cached, so the
-	// measured fill is the remaining 1023 entries plus its eviction.
-	if _, err := m.Query(ctx, core.Request{Q: qs[0]}); err != nil {
-		t.Fatal(err)
-	}
-	before := liveHeap()
-	for _, q := range qs[1:] {
+	query := func(q []int) {
 		if _, err := m.Query(ctx, core.Request{Q: q}); err != nil {
-			t.Fatalf("query %v: %v", q, err)
+			t.Errorf("query %v: %v", q, err)
 		}
 	}
+	// The first two queries warm one pooled workspace each, the first held
+	// out of the pool while the second runs, so that neither fill goroutine
+	// allocates a workspace's n-sized arrays after the first reading. Both
+	// stay cached, so the measured fill is the remaining 1023 entries plus
+	// the eviction of the oldest.
+	query(qs[0])
+	held := ix.AcquireWorkspace()
+	query(qs[1])
+	held.Release()
+	before := liveHeap()
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 2 + w; i < len(qs); i += 2 {
+				query(qs[i])
+			}
+		}()
+	}
+	wg.Wait()
 	after := liveHeap()
+	if t.Failed() {
+		return
+	}
 	if got := m.Stats().CacheEntries; got != entries {
 		t.Fatalf("cache holds %d entries, want %d", got, entries)
 	}
